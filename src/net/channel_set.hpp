@@ -93,8 +93,8 @@ class ChannelSet {
   /// is resolved byte-wise — O(words + 8), not O(k) bit-clears.
   [[nodiscard]] ChannelId nth(std::size_t k) const;
 
-  /// Raw bitset words, least-significant channel first. The flat-array
-  /// kernels copy these into their per-arc span tables.
+  /// Raw bitset words, least-significant channel first — the layout of
+  /// Network's flat per-arc span table.
   [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
     return words_;
   }

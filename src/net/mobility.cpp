@@ -66,7 +66,6 @@ void RandomWaypointModel::advance_epoch() {
       if (m.speed <= 0.0) break;    // zero-speed leg: parked until redrawn
     }
   }
-  ++epoch_;
 }
 
 }  // namespace m2hew::net

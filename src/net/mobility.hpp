@@ -66,7 +66,6 @@ class RandomWaypointModel {
   [[nodiscard]] std::span<const Point> positions() const noexcept {
     return positions_;
   }
-  [[nodiscard]] std::size_t current_epoch() const noexcept { return epoch_; }
 
   /// Advances every node by one epoch of movement: walk toward the
   /// waypoint at the leg's speed; on arrival draw a pause from
@@ -84,7 +83,6 @@ class RandomWaypointModel {
   };
 
   MobilityConfig config_;
-  std::size_t epoch_ = 0;
   std::vector<Point> positions_;
   std::vector<NodeMotion> motion_;
 };

@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.hpp"
 
@@ -32,82 +33,54 @@ void Network::build(const PropagationFilter* propagation) {
     M2HEW_CHECK_MSG(!a.empty(), "node with empty available channel set");
     s_ = std::max(s_, a.size());
   }
+  span_stride_ = ChannelSet::word_count(universe_);
 
-  // Per-arc spans, discovery links and per-channel in-degrees.
-  const auto arcs = topology_.arcs();
-  spans_.reserve(arcs.size());
-  arc_index_of_.assign(n, {});
-  degree_on_channel_.assign(n, std::vector<std::size_t>(universe_, 0));
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    const auto& [from, to] = arcs[i];
-    ChannelSet span = assignment_[from].intersect(assignment_[to]);
+  // Dense arc matrix for O(1) in_arc() on the sizes the engines sweep.
+  const auto offsets = topology_.in_offsets();
+  const auto sources = topology_.in_sources();
+  if (n <= kDenseArcLimit) {
+    arc_matrix_.assign(static_cast<std::size_t>(n) * n, -1);
+    for (NodeId to = 0; to < n; ++to) {
+      for (std::size_t arc = offsets[to]; arc < offsets[to + 1]; ++arc) {
+        arc_matrix_[static_cast<std::size_t>(to) * n + sources[arc]] =
+            static_cast<std::int32_t>(arc);
+      }
+    }
+  }
+
+  // Spans, discovery links, Δ(u, c) and ρ in arc insertion order — the
+  // order links() reports and the propagation filter is consulted in —
+  // with each span stored at its arc's in-CSR position.
+  span_words_.assign(sources.size() * span_stride_, 0);
+  degree_on_channel_.assign(static_cast<std::size_t>(n) * universe_, 0);
+  for (const auto& [from, to] : topology_.arcs()) {
+    std::uint64_t* const span = &span_words_[in_arc(from, to) * span_stride_];
+    const auto a = assignment_[from].words();
+    const auto b = assignment_[to].words();
+    for (std::size_t w = 0; w < span_stride_; ++w) span[w] = a[w] & b[w];
     if (propagation != nullptr) {
       const ChannelSet mask = (*propagation)(from, to);
       M2HEW_CHECK_MSG(mask.universe_size() == universe_,
                       "propagation mask universe mismatch");
-      span = span.intersect(mask);
+      const auto m = mask.words();
+      for (std::size_t w = 0; w < span_stride_; ++w) span[w] &= m[w];
     }
-    if (!span.empty()) {
-      links_.push_back({from, to});
-      for (const ChannelId c : span.to_vector()) {
-        ++degree_on_channel_[to][c];
+    std::size_t size = 0;
+    for (std::size_t w = 0; w < span_stride_; ++w) {
+      size += static_cast<std::size_t>(std::popcount(span[w]));
+      for (std::uint64_t bits = span[w]; bits != 0; bits &= bits - 1) {
+        ++degree_on_channel_[static_cast<std::size_t>(to) * universe_ +
+                             w * 64 +
+                             static_cast<std::size_t>(std::countr_zero(bits))];
       }
     }
-    arc_index_of_[from].emplace_back(to, i);
-    spans_.push_back(std::move(span));
+    if (size == 0) continue;
+    links_.push_back({from, to});
+    rho_ = std::min(rho_, static_cast<double>(size) /
+                              static_cast<double>(assignment_[to].size()));
   }
-  for (auto& list : arc_index_of_) {
-    std::sort(list.begin(), list.end());
-  }
-
-  // Flat CSR of incoming arcs (span pointers are stable: spans_ is fully
-  // built). Counting pass -> offsets, then fill each node's slice and sort
-  // it by source id.
-  in_link_offsets_.assign(n + 1, 0);
-  for (const auto& [from, to] : arcs) {
-    ++in_link_offsets_[to + 1];
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    in_link_offsets_[u + 1] += in_link_offsets_[u];
-  }
-  in_links_flat_.assign(arcs.size(), InLink{});
-  {
-    std::vector<std::size_t> cursor(in_link_offsets_.begin(),
-                                    in_link_offsets_.end() - 1);
-    for (std::size_t i = 0; i < arcs.size(); ++i) {
-      const auto& [from, to] = arcs[i];
-      in_links_flat_[cursor[to]++] = {from, &spans_[i]};
-    }
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    std::sort(
-        in_links_flat_.begin() + static_cast<std::ptrdiff_t>(
-                                     in_link_offsets_[u]),
-        in_links_flat_.begin() + static_cast<std::ptrdiff_t>(
-                                     in_link_offsets_[u + 1]),
-        [](const InLink& a, const InLink& b) { return a.from < b.from; });
-  }
-
-  // Dense arc matrix for O(1) in_span() on the sizes the engines sweep.
-  if (n <= kDenseArcLimit) {
-    arc_matrix_.assign(static_cast<std::size_t>(n) * n, -1);
-    for (std::size_t i = 0; i < arcs.size(); ++i) {
-      const auto& [from, to] = arcs[i];
-      arc_matrix_[static_cast<std::size_t>(to) * n + from] =
-          static_cast<std::int32_t>(i);
-    }
-  }
-
-  for (NodeId u = 0; u < n; ++u) {
-    for (ChannelId c = 0; c < universe_; ++c) {
-      delta_ = std::max(delta_, degree_on_channel_[u][c]);
-    }
-  }
-
-  rho_ = 1.0;
-  for (const Link link : links_) {
-    rho_ = std::min(rho_, span_ratio(link));
-  }
+  delta_ = *std::max_element(degree_on_channel_.begin(),
+                             degree_on_channel_.end());
 }
 
 const ChannelSet& Network::available(NodeId u) const {
@@ -115,51 +88,49 @@ const ChannelSet& Network::available(NodeId u) const {
   return assignment_[u];
 }
 
-std::size_t Network::arc_index(NodeId from, NodeId to) const {
+ChannelSet Network::span(NodeId from, NodeId to) const {
+  const std::size_t arc = arc_of(from, to);
+  ChannelSet out(universe_);
+  for (ChannelId c = 0; c < universe_; ++c) {
+    if (carries(arc, c)) out.insert(c);
+  }
+  return out;
+}
+
+std::size_t Network::arc_of(NodeId from, NodeId to) const {
   M2HEW_CHECK(from < node_count() && to < node_count());
-  const auto& list = arc_index_of_[from];
-  const auto it = std::lower_bound(
-      list.begin(), list.end(), to,
-      [](const auto& entry, NodeId key) { return entry.first < key; });
-  M2HEW_CHECK_MSG(it != list.end() && it->first == to,
-                  "span() on a non-arc");
-  return it->second;
+  const std::size_t arc = in_arc(from, to);
+  M2HEW_CHECK_MSG(arc != kNoArc, "pair is not an arc of the network");
+  return arc;
 }
 
-const ChannelSet& Network::span(NodeId from, NodeId to) const {
-  return spans_[arc_index(from, to)];
-}
-
-std::span<const Network::InLink> Network::in_links(NodeId u) const {
-  M2HEW_CHECK(u < node_count());
-  return {in_links_flat_.data() + in_link_offsets_[u],
-          in_link_offsets_[u + 1] - in_link_offsets_[u]};
-}
-
-const ChannelSet* Network::in_span(NodeId from, NodeId to) const {
+std::size_t Network::in_arc(NodeId from, NodeId to) const {
   M2HEW_DCHECK(from < node_count() && to < node_count());
   if (!arc_matrix_.empty()) {
-    const std::int32_t idx =
+    const std::int32_t arc =
         arc_matrix_[static_cast<std::size_t>(to) * node_count() + from];
-    return idx < 0 ? nullptr : &spans_[static_cast<std::size_t>(idx)];
+    return arc < 0 ? kNoArc : static_cast<std::size_t>(arc);
   }
-  const auto links = in_links(to);
-  const auto it = std::lower_bound(
-      links.begin(), links.end(), from,
-      [](const InLink& entry, NodeId key) { return entry.from < key; });
-  return it != links.end() && it->from == from ? it->span : nullptr;
+  const auto sources = topology_.in_sources();
+  const auto offsets = topology_.in_offsets();
+  const auto begin = sources.begin() + static_cast<std::ptrdiff_t>(offsets[to]);
+  const auto end =
+      sources.begin() + static_cast<std::ptrdiff_t>(offsets[to + 1]);
+  const auto it = std::lower_bound(begin, end, from);
+  return it != end && *it == from
+             ? static_cast<std::size_t>(it - sources.begin())
+             : kNoArc;
 }
 
 double Network::span_ratio(Link link) const {
-  const ChannelSet& s = span(link.from, link.to);
-  return static_cast<double>(s.size()) /
+  return static_cast<double>(span(link.from, link.to).size()) /
          static_cast<double>(assignment_[link.to].size());
 }
 
 std::size_t Network::degree_on_channel(NodeId u, ChannelId c) const {
   M2HEW_CHECK(u < node_count());
   M2HEW_CHECK(c < universe_);
-  return degree_on_channel_[u][c];
+  return degree_on_channel_[static_cast<std::size_t>(u) * universe_ + c];
 }
 
 }  // namespace m2hew::net

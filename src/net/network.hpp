@@ -54,31 +54,45 @@ class Network {
   [[nodiscard]] const Topology& topology() const noexcept { return topology_; }
   [[nodiscard]] const ChannelSet& available(NodeId u) const;
 
-  /// Directed discovery links (ground truth for neighbor discovery).
+  /// Directed discovery links (ground truth for neighbor discovery), in
+  /// topology().arcs() order.
   [[nodiscard]] std::span<const Link> links() const noexcept { return links_; }
 
-  /// span(from, to); requires the arc from→to to exist.
-  [[nodiscard]] const ChannelSet& span(NodeId from, NodeId to) const;
+  /// span(from, to); requires the arc from→to to exist. Cold: hot loops
+  /// probe carries() instead.
+  [[nodiscard]] ChannelSet span(NodeId from, NodeId to) const;
 
-  /// An incoming arc of a node with its (possibly empty) span — the unit
-  /// the simulation engines iterate to resolve receptions and interference.
-  struct InLink {
-    NodeId from = kInvalidNode;
-    const ChannelSet* span = nullptr;
-  };
-  /// Incoming arcs of u, sorted by source id (a view into one flat
-  /// CSR-style array shared by all nodes).
-  [[nodiscard]] std::span<const InLink> in_links(NodeId u) const;
+  /// Sources of u's incoming arcs (including empty-span ones), ascending.
+  [[nodiscard]] std::span<const NodeId> in_links(NodeId u) const {
+    return topology_.in_neighbors(u);
+  }
 
-  /// span(from, to) if the arc from→to exists, nullptr otherwise. O(1)
-  /// through a dense arc matrix when node_count() <= kDenseArcLimit,
-  /// O(log indeg(to)) otherwise. This is the adjacency filter of the
-  /// engines' reception hot path: a listener resolves the per-channel
-  /// transmitter bucket against it instead of scanning all in-neighbors.
-  [[nodiscard]] const ChannelSet* in_span(NodeId from, NodeId to) const;
+  static constexpr std::size_t kNoArc = SIZE_MAX;
+  /// Position ("arc") of the arc from→to in topology()'s in-CSR, or
+  /// kNoArc; it indexes the span table and every per-arc array a
+  /// simulator keeps in the same order. O(1) through a dense arc matrix
+  /// when node_count() <= kDenseArcLimit, O(log indeg(to)) otherwise. This
+  /// is the adjacency filter of the engines' reception hot path: a
+  /// listener resolves the per-channel transmitter bucket against it
+  /// instead of scanning all in-neighbors.
+  [[nodiscard]] std::size_t in_arc(NodeId from, NodeId to) const;
+  /// in_arc() of a pair that must be an arc (CHECK-fails otherwise).
+  [[nodiscard]] std::size_t arc_of(NodeId from, NodeId to) const;
 
-  /// Largest node count for which the dense O(1) arc matrix is built
-  /// (4 MiB of int32 at the limit; DiscoveryState is O(N²) anyway).
+  /// True iff the arc at position `arc` carries channel c: one word probe.
+  [[nodiscard]] bool carries(std::size_t arc, ChannelId c) const noexcept {
+    return (span_words_[arc * span_stride_ + (c >> 6)] >> (c & 63)) & 1;
+  }
+  /// The flat span table: span_stride() words per arc position.
+  [[nodiscard]] std::span<const std::uint64_t> span_words() const noexcept {
+    return span_words_;
+  }
+  [[nodiscard]] std::size_t span_stride() const noexcept {
+    return span_stride_;
+  }
+
+  /// Largest node count for which the dense arc matrix (4 MiB of int32 at
+  /// the limit) makes in_arc() one load at the sizes the engines sweep.
   static constexpr std::size_t kDenseArcLimit = 1024;
 
   /// |span(from, to)| / |A(to)| for a discovery link.
@@ -104,27 +118,17 @@ class Network {
 
  private:
   void build(const PropagationFilter* propagation);
-  [[nodiscard]] std::size_t arc_index(NodeId from, NodeId to) const;
 
   Topology topology_;
   std::vector<ChannelSet> assignment_;
   ChannelId universe_ = 0;
+  std::size_t span_stride_ = 0;  // ChannelSet::word_count(universe_)
 
-  // Per-arc spans, parallel to topology_.arcs().
-  std::vector<ChannelSet> spans_;
-  // Flat in-neighbor adjacency (CSR): node u's incoming arcs, with span
-  // pointers into spans_, live in
-  // in_links_flat_[in_link_offsets_[u] .. in_link_offsets_[u+1]), sorted
-  // by source id; used by the engines' reception loops.
-  std::vector<InLink> in_links_flat_;
-  std::vector<std::size_t> in_link_offsets_;
-  // Dense (to, from) -> index into spans_ matrix (-1 = no arc), built only
-  // for node counts up to kDenseArcLimit; makes in_span() O(1).
+  std::vector<std::uint64_t> span_words_;  // per arc position
+  // (to, from) -> arc position, -1 = none; up to kDenseArcLimit nodes.
   std::vector<std::int32_t> arc_matrix_;
-  // Per-node sorted (source, arc index) pairs for O(log indeg) lookup.
-  std::vector<std::vector<std::pair<NodeId, std::size_t>>> arc_index_of_;
   std::vector<Link> links_;
-  std::vector<std::vector<std::size_t>> degree_on_channel_;  // [u][c]
+  std::vector<std::uint32_t> degree_on_channel_;  // Δ(u, c) at u·U + c
 
   std::size_t s_ = 0;
   std::size_t delta_ = 0;

@@ -1,22 +1,40 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
-
-#include "util/check.hpp"
+#include <bit>
+#include <numeric>
 
 namespace m2hew::net {
 
 Topology::Topology(NodeId node_count)
-    : out_(node_count), in_(node_count) {}
+    : n_(node_count),
+      out_off_(static_cast<std::size_t>(node_count) + 1, 0),
+      in_off_(static_cast<std::size_t>(node_count) + 1, 0) {}
 
 void Topology::add_arc(NodeId u, NodeId v) {
   M2HEW_CHECK_MSG(u != v, "self-loop");
-  M2HEW_CHECK(u < node_count() && v < node_count());
+  M2HEW_CHECK(u < n_ && v < n_);
   M2HEW_CHECK_MSG(!has_arc(u, v), "duplicate arc");
-  out_[u].push_back(v);
-  in_[v].push_back(u);
+  if (finalized_) {  // reopen: rebuild the rows finalize() released
+    row_off_.assign(n_, 0);
+    row_len_.assign(n_, 0);
+    for (const auto& [from, to] : arc_list_) append_to_row(from, to);
+    finalized_ = false;
+  }
+  append_to_row(u, v);
   arc_list_.emplace_back(u, v);
-  finalized_ = false;
+}
+
+void Topology::append_to_row(NodeId u, NodeId v) {
+  const std::uint32_t len = row_len_[u];
+  if (len == 0 || (len >= kMinRow && std::has_single_bit(len))) {
+    const std::size_t from = row_off_[u];
+    row_off_[u] = pool_.size();
+    pool_.resize(pool_.size() + std::max<std::size_t>(kMinRow, 2 * len));
+    std::copy_n(pool_.data() + from, len, pool_.data() + row_off_[u]);
+  }
+  pool_[row_off_[u] + len] = v;
+  row_len_[u] = len + 1;
 }
 
 void Topology::add_edge(NodeId u, NodeId v) {
@@ -27,18 +45,40 @@ void Topology::add_edge(NodeId u, NodeId v) {
 
 void Topology::finalize() {
   if (finalized_) return;
-  for (auto& list : out_) std::sort(list.begin(), list.end());
-  for (auto& list : in_) std::sort(list.begin(), list.end());
+  // Out-CSR: the build-time rows, each sorted. In-CSR: one stable
+  // counting-sort scatter that walks the sources in ascending order, so
+  // every in-row comes out sorted too.
+  out_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
+  in_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
+  out_adj_.resize(arc_list_.size());
+  for (NodeId u = 0; u < n_; ++u) {
+    out_off_[u + 1] = out_off_[u] + row_len_[u];
+    NodeId* const out = out_adj_.data() + out_off_[u];
+    std::sort(out, std::copy_n(pool_.data() + row_off_[u], row_len_[u], out));
+  }
+  for (const auto& [u, v] : arc_list_) ++in_off_[v + 1];
+  std::partial_sum(in_off_.begin(), in_off_.end(), in_off_.begin());
+  in_adj_.resize(arc_list_.size());
+  std::vector<std::size_t> cursor(in_off_.begin(), in_off_.end() - 1);
+  for (NodeId u = 0; u < n_; ++u) {
+    for (std::size_t a = out_off_[u]; a < out_off_[u + 1]; ++a) {
+      in_adj_[cursor[out_adj_[a]]++] = u;
+    }
+  }
+  std::vector<NodeId>().swap(pool_);
+  std::vector<std::size_t>().swap(row_off_);
+  std::vector<std::uint32_t>().swap(row_len_);
   finalized_ = true;
 }
 
 bool Topology::has_arc(NodeId u, NodeId v) const {
-  M2HEW_CHECK(u < node_count() && v < node_count());
-  const auto& list = out_[u];
+  M2HEW_CHECK(u < n_ && v < n_);
   if (finalized_) {
-    return std::binary_search(list.begin(), list.end(), v);
+    const auto out = out_neighbors(u);
+    return std::binary_search(out.begin(), out.end(), v);
   }
-  return std::find(list.begin(), list.end(), v) != list.end();
+  const NodeId* const row = pool_.data() + row_off_[u];
+  return std::find(row, row + row_len_[u], v) != row + row_len_[u];
 }
 
 bool Topology::has_edge(NodeId u, NodeId v) const {
@@ -46,30 +86,23 @@ bool Topology::has_edge(NodeId u, NodeId v) const {
 }
 
 std::span<const NodeId> Topology::out_neighbors(NodeId u) const {
-  M2HEW_CHECK(u < node_count());
+  M2HEW_CHECK(u < n_);
   M2HEW_CHECK_MSG(finalized_, "neighbor query before finalize()");
-  return out_[u];
+  return {out_adj_.data() + out_off_[u], out_off_[u + 1] - out_off_[u]};
 }
 
 std::span<const NodeId> Topology::in_neighbors(NodeId u) const {
-  M2HEW_CHECK(u < node_count());
+  M2HEW_CHECK(u < n_);
   M2HEW_CHECK_MSG(finalized_, "neighbor query before finalize()");
-  return in_[u];
+  return {in_adj_.data() + in_off_[u], in_off_[u + 1] - in_off_[u]};
 }
 
-std::size_t Topology::out_degree(NodeId u) const {
-  M2HEW_CHECK(u < node_count());
-  return out_[u].size();
-}
-
-std::size_t Topology::in_degree(NodeId u) const {
-  M2HEW_CHECK(u < node_count());
-  return in_[u].size();
-}
-
-std::size_t Topology::max_degree() const noexcept {
+std::size_t Topology::max_degree() const {
+  M2HEW_CHECK_MSG(finalized_, "degree query before finalize()");
   std::size_t best = 0;
-  for (const auto& list : out_) best = std::max(best, list.size());
+  for (NodeId u = 0; u < n_; ++u) {
+    best = std::max(best, out_off_[u + 1] - out_off_[u]);
+  }
   return best;
 }
 
@@ -85,26 +118,24 @@ std::vector<std::pair<NodeId, NodeId>> Topology::edges() const {
 }
 
 bool Topology::is_connected() const {
-  const NodeId n = node_count();
-  if (n <= 1) return true;
-  std::vector<bool> seen(n, false);
-  std::vector<NodeId> stack{0};
-  seen[0] = true;
-  NodeId visited = 1;
-  while (!stack.empty()) {
-    const NodeId u = stack.back();
-    stack.pop_back();
-    auto visit = [&](NodeId v) {
-      if (!seen[v]) {
-        seen[v] = true;
-        ++visited;
-        stack.push_back(v);
-      }
-    };
-    for (const NodeId v : out_[u]) visit(v);
-    for (const NodeId v : in_[u]) visit(v);
+  if (n_ <= 1) return true;
+  // Union-find over the arc list: valid before and after finalize().
+  std::vector<NodeId> parent(n_);
+  std::iota(parent.begin(), parent.end(), NodeId{0});
+  auto root = [&parent](NodeId x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  NodeId components = n_;
+  for (const auto& [u, v] : arc_list_) {
+    const NodeId a = root(u);
+    const NodeId b = root(v);
+    if (a != b) {
+      parent[a] = b;
+      --components;
+    }
   }
-  return visited == n;
+  return components == 1;
 }
 
 bool Topology::is_symmetric() const {

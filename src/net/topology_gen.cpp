@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 
 #include "util/check.hpp"
 
@@ -149,13 +150,23 @@ Topology unit_disk_topology(std::span<const Point> positions, double side,
     cy = std::min(cy, cells_per_axis - 1);
     return cy * cells_per_axis + cx;
   };
-  std::vector<std::vector<NodeId>> buckets(cells_per_axis * cells_per_axis);
-  for (NodeId i = 0; i < n; ++i) buckets[cell_of(positions[i])].push_back(i);
+  // Counting sort of the node ids by cell: cell k's nodes, ascending, are
+  // bucketed[bucket_off[k] .. bucket_off[k + 1]).
+  std::vector<NodeId> bucket_off(cells_per_axis * cells_per_axis + 1, 0);
+  for (NodeId i = 0; i < n; ++i) ++bucket_off[cell_of(positions[i]) + 1];
+  std::partial_sum(bucket_off.begin(), bucket_off.end(), bucket_off.begin());
+  std::vector<NodeId> bucketed(n);
+  std::vector<NodeId> cursor(bucket_off.begin(), bucket_off.end() - 1);
+  for (NodeId i = 0; i < n; ++i) bucketed[cursor[cell_of(positions[i])]++] = i;
+  auto bucket = [&](std::size_t k) {
+    return std::span<const NodeId>(bucketed).subspan(
+        bucket_off[k], bucket_off[k + 1] - bucket_off[k]);
+  };
 
   const double r2 = radius * radius;
   for (std::size_t cy = 0; cy < cells_per_axis; ++cy) {
     for (std::size_t cx = 0; cx < cells_per_axis; ++cx) {
-      const auto& mine = buckets[cy * cells_per_axis + cx];
+      const auto mine = bucket(cy * cells_per_axis + cx);
       if (mine.empty()) continue;
       // Visit each unordered cell pair once: self cell plus the 4 forward
       // neighbors (E, SW, S, SE); the backward 4 are covered from the
@@ -170,9 +181,9 @@ Topology unit_disk_topology(std::span<const Point> positions, double side,
             ny >= static_cast<std::int64_t>(cells_per_axis)) {
           continue;
         }
-        const auto& theirs =
-            buckets[static_cast<std::size_t>(ny) * cells_per_axis +
-                    static_cast<std::size_t>(nx)];
+        const auto theirs = bucket(static_cast<std::size_t>(ny) *
+                                       cells_per_axis +
+                                   static_cast<std::size_t>(nx));
         const bool same_cell = d == 0;
         for (std::size_t a = 0; a < mine.size(); ++a) {
           const std::size_t b_start = same_cell ? a + 1 : 0;

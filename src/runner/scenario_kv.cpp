@@ -110,7 +110,7 @@ class SectionReader {
   /// Records a section-scoped failure (range violations, bad enum names).
   void fail(std::string message) {
     if (error_.empty()) {
-      error_ = "[" + std::string(section_) + "] " + std::move(message);
+      error_.append(1, '[').append(section_).append("] ").append(message);
     }
   }
 

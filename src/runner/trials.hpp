@@ -204,7 +204,7 @@ struct SyncTrialStats {
 /// bit-identical aggregates (the SoA==engine equivalence suite pins the
 /// per-trial results); kSoa is the large-N path.
 enum class SyncKernel {
-  kEngine,  ///< run_slot_engine: virtual policies, DiscoveryState matrix
+  kEngine,  ///< run_slot_engine: virtual policies, DiscoveryState oracle
   kSoa,     ///< sim::SoaSlotKernel: flat arrays, CSR coverage
 };
 

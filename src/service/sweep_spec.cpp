@@ -99,8 +99,10 @@ void emit_f64(std::string& out, std::string_view key, double value) {
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
   if (end == text.c_str() || *end != '\0') {
-    *error = "[" + std::string(section) + "] " + std::string(key) +
-             ": expected an unsigned integer (got '" + text + "')";
+    error->assign(1, '[').append(section).append("] ").append(key);
+    error->append(": expected an unsigned integer (got '")
+        .append(text)
+        .append("')");
     return false;
   }
   out = parsed;

@@ -123,7 +123,8 @@ AsyncEngineResult run_async_engine(const net::Network& network,
                            std::vector<std::uint64_t>(n, 0),
                            std::vector<RadioActivity>(n),
                            {},
-                           DiscoveryState(network)};
+                           DiscoveryState(network),
+                           {}};
 
   // History retention: a frame overlapping a just-ended listening frame g
   // started no earlier than g.start minus one (maximal) frame length. Track
@@ -277,8 +278,8 @@ AsyncEngineResult run_async_engine(const net::Network& network,
         if (entry.frame.start >= g.end || entry.frame.end <= g.start) {
           continue;
         }
-        const net::ChannelSet* span = adj.in_span(entry.sender, u);
-        if (span == nullptr || !span->contains(c)) continue;
+        const std::size_t arc = adj.in_arc(entry.sender, u);
+        if (arc == net::Network::kNoArc || !adj.carries(arc, c)) continue;
         bursts.push_back({entry.sender, &entry.frame});
       }
       std::sort(bursts.begin(), bursts.end(),
@@ -288,12 +289,14 @@ AsyncEngineResult run_async_engine(const net::Network& network,
                              : a.frame->start < b.frame->start;
                 });
     } else {
-      for (const net::Network::InLink& in : adj.in_links(u)) {
-        if (!in.span->contains(c)) continue;
-        for (const FrameRecord& f : nodes[in.from].history) {
+      const auto offsets = adj.topology().in_offsets();
+      for (std::size_t arc = offsets[u]; arc < offsets[u + 1]; ++arc) {
+        if (!adj.carries(arc, c)) continue;
+        const net::NodeId v = adj.topology().in_sources()[arc];
+        for (const FrameRecord& f : nodes[v].history) {
           if (f.mode != Mode::kTransmit || f.channel != c) continue;
           if (f.start < g.end && f.end > g.start) {
-            bursts.push_back({in.from, &f});
+            bursts.push_back({v, &f});
           }
         }
       }

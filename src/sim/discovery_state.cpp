@@ -15,30 +15,25 @@ constexpr std::uint8_t kCovered = 1;
 DiscoveryState::DiscoveryState(const net::Network& network)
     : network_(&network),
       n_(network.node_count()),
-      covered_(static_cast<std::size_t>(n_) * n_, kNotALink),
-      first_time_(static_cast<std::size_t>(n_) * n_, -1.0),
+      total_links_(network.links().size()),
+      covered_(network.topology().arc_count(), kNotALink),
+      first_time_(network.topology().arc_count(), -1.0),
       tables_(n_) {
   for (const net::Link link : network.links()) {
-    covered_[link_slot(link.from, link.to)] = kUncovered;
-    ++total_links_;
+    covered_[network.in_arc(link.from, link.to)] = kUncovered;
   }
-}
-
-std::size_t DiscoveryState::link_slot(net::NodeId sender,
-                                      net::NodeId receiver) const noexcept {
-  return static_cast<std::size_t>(sender) * n_ + receiver;
 }
 
 bool DiscoveryState::record_reception(net::NodeId sender, net::NodeId receiver,
                                       double time) {
   M2HEW_CHECK(sender < n_ && receiver < n_);
-  const std::size_t slot = link_slot(sender, receiver);
-  M2HEW_CHECK_MSG(covered_[slot] != kNotALink,
+  const std::size_t arc = network_->in_arc(sender, receiver);
+  M2HEW_CHECK_MSG(arc != net::Network::kNoArc && covered_[arc] != kNotALink,
                   "reception on a pair that is not a discovery link");
   ++receptions_;
-  if (covered_[slot] == kCovered) return false;
-  covered_[slot] = kCovered;
-  first_time_[slot] = time;
+  if (covered_[arc] == kCovered) return false;
+  covered_[arc] = kCovered;
+  first_time_[arc] = time;
   ++covered_count_;
   // Receiver stores ⟨sender, A(sender) ∩ A(receiver)⟩ = span.
   tables_[receiver].push_back(
@@ -48,12 +43,13 @@ bool DiscoveryState::record_reception(net::NodeId sender, net::NodeId receiver,
 
 bool DiscoveryState::is_covered(net::Link link) const {
   M2HEW_CHECK(link.from < n_ && link.to < n_);
-  return covered_[link_slot(link.from, link.to)] == kCovered;
+  const std::size_t arc = network_->in_arc(link.from, link.to);
+  return arc != net::Network::kNoArc && covered_[arc] == kCovered;
 }
 
 double DiscoveryState::first_coverage_time(net::Link link) const {
   M2HEW_CHECK_MSG(is_covered(link), "link not covered yet");
-  return first_time_[link_slot(link.from, link.to)];
+  return first_time_[network_->arc_of(link.from, link.to)];
 }
 
 const std::vector<NeighborRecord>& DiscoveryState::neighbor_table(

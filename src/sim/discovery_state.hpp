@@ -61,16 +61,13 @@ class DiscoveryState {
   [[nodiscard]] bool table_matches_ground_truth(net::NodeId u) const;
 
  private:
-  [[nodiscard]] std::size_t link_slot(net::NodeId sender,
-                                      net::NodeId receiver) const noexcept;
-
   const net::Network* network_;
   net::NodeId n_;
   std::size_t total_links_ = 0;
   std::size_t covered_count_ = 0;
   std::size_t receptions_ = 0;
-  // Dense (sender, receiver) matrices. N is at most a few thousand in any
-  // experiment, so N² entries are acceptable and far faster than hashing.
+  // Per arc position of the network's in-CSR (net::Network::in_arc), so
+  // the state is O(arcs), not O(N²).
   std::vector<std::uint8_t> covered_;      // 0/1/2: 2 = not a link
   std::vector<double> first_time_;
   std::vector<std::vector<NeighborRecord>> tables_;

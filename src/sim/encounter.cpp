@@ -9,23 +9,22 @@ namespace m2hew::sim {
 
 EncounterIndex::EncounterIndex(const net::TopologyProvider& provider,
                                std::uint64_t epoch_slots,
-                               std::uint64_t max_slots) {
+                               std::uint64_t max_slots)
+    : union_(&provider.union_network()) {
   M2HEW_CHECK(epoch_slots >= 1 && max_slots >= 1);
-  const net::Network& u_net = provider.union_network();
-  const net::NodeId n = u_net.node_count();
+  const net::NodeId n = union_->node_count();
   const std::size_t epochs = provider.epoch_count();
 
-  arc_off_.reserve(static_cast<std::size_t>(n) + 1);
-  arc_off_.push_back(0);
+  contact_off_.push_back(0);
   for (net::NodeId u = 0; u < n; ++u) {
-    for (const net::Network::InLink& in : u_net.in_links(u)) {
-      arc_src_.push_back(in.from);
+    for (const net::NodeId from : union_->in_links(u)) {
       // Walk the epoch schedule for this arc, closing a contact at every
       // active→absent transition (or at the schedule's end).
       std::uint64_t run_start = 0;
       bool in_run = false;
       for (std::size_t e = 0; e < epochs; ++e) {
-        const bool active = provider.epoch(e).in_span(in.from, u) != nullptr;
+        const bool active =
+            provider.epoch(e).in_arc(from, u) != net::Network::kNoArc;
         if (active && !in_run) {
           in_run = true;
           run_start = static_cast<std::uint64_t>(e) * epoch_slots;
@@ -45,21 +44,14 @@ EncounterIndex::EncounterIndex(const net::TopologyProvider& provider,
       }
       contact_off_.push_back(contacts_.size());
     }
-    arc_off_.push_back(arc_src_.size());
   }
-  contact_off_.insert(contact_off_.begin(), 0);
 }
 
 std::size_t EncounterIndex::contact_at(net::NodeId sender,
                                        net::NodeId receiver,
                                        std::uint64_t slot) const {
-  const auto begin =
-      arc_src_.begin() + static_cast<std::ptrdiff_t>(arc_off_[receiver]);
-  const auto end =
-      arc_src_.begin() + static_cast<std::ptrdiff_t>(arc_off_[receiver + 1]);
-  const auto it = std::lower_bound(begin, end, sender);
-  if (it == end || *it != sender) return npos;
-  const auto arc = static_cast<std::size_t>(it - arc_src_.begin());
+  const std::size_t arc = union_->in_arc(sender, receiver);
+  if (arc == net::Network::kNoArc) return npos;
 
   // Last contact of this arc starting at or before `slot`.
   const auto c_begin =

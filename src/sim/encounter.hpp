@@ -67,11 +67,11 @@ class EncounterIndex {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
  private:
-  // Receiver-major arc CSR mirroring the union network's in-link order,
-  // then a second CSR from arcs into the flat contact list (each arc's
-  // contacts are start-sorted, so contact_at is two binary searches).
-  std::vector<std::size_t> arc_off_;        // node_count + 1
-  std::vector<net::NodeId> arc_src_;        // arc → sender, ascending per u
+  // A CSR from the union network's in-CSR arc positions into the flat
+  // contact list (each arc's contacts are start-sorted, so contact_at is
+  // one arc lookup plus one binary search). The union network is borrowed
+  // from the provider, which must outlive the index.
+  const net::Network* union_;
   std::vector<std::size_t> contact_off_;    // arc_count + 1
   std::vector<Contact> contacts_;
 };

@@ -52,10 +52,10 @@ FaultState<Time>::FaultState(const net::Network& network,
         reset_pending_[u] = 1;
       }
     }
-    post_recovery_.assign(static_cast<std::size_t>(n_) * n_, -1.0);
+    post_recovery_.assign(network.topology().arc_count(), -1.0);
   }
   if (plan.burst_loss.enabled) {
-    ge_state_.assign(static_cast<std::size_t>(n_) * n_, 0);
+    ge_state_.assign(network.topology().arc_count(), 0);
   }
   if (plan.adversary.enabled()) {
     adversary_ = true;
@@ -67,18 +67,6 @@ FaultState<Time>::FaultState(const net::Network& network,
     victims_.resize(n_);
     fake_heard_.resize(n_);
     honest_blocked_.resize(n_);
-    // Out-adjacency (id-sorted) for the non-responder victim draws; built
-    // on the union network so the victim set is epoch-invariant.
-    std::vector<std::vector<net::NodeId>> out(n_);
-    if (adv.attack == AdversaryAttack::kNonResponder ||
-        adv.attack == AdversaryAttack::kMix) {
-      for (const net::Link link : network.links()) {
-        out[link.from].push_back(link.to);
-      }
-      for (std::vector<net::NodeId>& targets : out) {
-        std::sort(targets.begin(), targets.end());
-      }
-    }
     for (net::NodeId u = 0; u < n_; ++u) {
       // One private stream per node, like the churn schedules. The first
       // four values are drawn unconditionally so (a) the adversary SET is
@@ -123,7 +111,10 @@ FaultState<Time>::FaultState(const net::Network& network,
         fake_ids_.push_back(fake);
         byz_avail_[u] = avail;
       } else {
-        for (const net::NodeId v : out[u]) {
+        // Victim coins over u's out-links, id-sorted, on the union network
+        // so the victim set is epoch-invariant.
+        for (const net::NodeId v : network.topology().out_neighbors(u)) {
+          if (network.span(u, v).empty()) continue;
           if (rng.bernoulli(adv.victim_fraction)) victims_[u].push_back(v);
         }
       }
@@ -169,8 +160,7 @@ bool FaultState<Time>::message_lost(net::NodeId sender, net::NodeId receiver,
                                     util::Rng& loss_rng, double iid_loss) {
   if (plan_->burst_loss.enabled) {
     const GilbertElliottSpec& ge = plan_->burst_loss;
-    std::uint8_t& s =
-        ge_state_[static_cast<std::size_t>(sender) * n_ + receiver];
+    std::uint8_t& s = ge_state_[network_->in_arc(sender, receiver)];
     if (loss_rng.bernoulli(s == 0 ? ge.p_good_to_bad : ge.p_bad_to_good)) {
       s ^= 1u;
     }
@@ -271,8 +261,7 @@ void FaultState<Time>::note_reception(net::NodeId sender,
     threshold = std::max(threshold, c.recovery);
   }
   if (!relevant || t < threshold) return;
-  double& cell =
-      post_recovery_[static_cast<std::size_t>(sender) * n_ + receiver];
+  double& cell = post_recovery_[network_->in_arc(sender, receiver)];
   if (cell < 0.0) cell = static_cast<double>(t);
 }
 
@@ -337,8 +326,7 @@ RobustnessReport FaultState<Time>::assess_covered(
     }
     if (!relevant) continue;
     ++r.recovered_links;
-    const double t =
-        post_recovery_[static_cast<std::size_t>(link.from) * n_ + link.to];
+    const double t = post_recovery_[network_->in_arc(link.from, link.to)];
     if (t >= 0.0) {
       ++r.rediscovered_links;
       const double took = t - static_cast<double>(threshold);
@@ -390,13 +378,10 @@ RobustnessReport FaultState<Time>::assess_covered(
     for (net::NodeId u = 0; u < n_; ++u) {
       for (const FakeEntry& e : fake_heard_[u]) {
         if (!e.evicted) {
-          bool aliased = false;
-          if (e.id < n_) {
-            const net::ChannelSet* span = network_->in_span(e.id, u);
-            if (span != nullptr && is_covered(net::Link{e.id, u})) {
-              aliased = true;
-            }
-          }
+          const bool aliased =
+              e.id < n_ &&
+              network_->in_arc(e.id, u) != net::Network::kNoArc &&
+              is_covered(net::Link{e.id, u});
           if (!aliased) ++r.fake_entries;
         }
         if (e.isolated) {

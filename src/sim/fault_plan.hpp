@@ -468,8 +468,9 @@ class FaultState {
   std::size_t adversary_count_ = 0;
   std::vector<NodeChurn> schedule_;
   std::vector<std::uint8_t> reset_pending_;
-  std::vector<std::uint8_t> ge_state_;      // n×n; 0 = good, 1 = bad
-  std::vector<double> post_recovery_;       // n×n; first reception ≥ threshold, -1 unset
+  // Per arc position of the network's in-CSR (net::Network::in_arc).
+  std::vector<std::uint8_t> ge_state_;      // 0 = good, 1 = bad
+  std::vector<double> post_recovery_;  // first reception ≥ threshold, or -1
   std::vector<std::vector<std::uint32_t>> spectrum_cover_;  // PU idx per node
   std::vector<std::uint8_t> role_;              // n; AdversaryRole values
   std::vector<net::ChannelId> jam_channel_;     // n; valid iff kJammer

@@ -33,7 +33,8 @@ MultiRadioEngineResult run_multi_radio_engine(
                                 0,
                                 0,
                                 std::vector<RadioActivity>(n),
-                                DiscoveryState(network)};
+                                DiscoveryState(network),
+                                {}};
   std::vector<std::vector<SlotAction>> actions(n);
   SlotMedium medium(network.universe_size(), config.indexed_reception);
   // Per-node channel usage scratch for validating radio distinctness.

@@ -29,7 +29,8 @@ SlotEngineResult run_slot_engine(const net::Network& network,
                           0,
                           0,
                           std::vector<RadioActivity>(n),
-                          DiscoveryState(network)};
+                          DiscoveryState(network),
+                          {}};
   std::vector<SlotAction> actions(n);
   SlotMedium medium(network.universe_size(), config.indexed_reception);
 

@@ -24,8 +24,10 @@ SlotMedium::Resolution SlotMedium::resolve(const net::Network& network,
   // set — and therefore the same sender/collision outcome.
   Resolution out;
   for (const net::NodeId v : buckets_[channel]) {
-    const net::ChannelSet* span = network.in_span(v, listener);
-    if (span == nullptr || !span->contains(channel)) continue;
+    const std::size_t arc = network.in_arc(v, listener);
+    if (arc == net::Network::kNoArc || !network.carries(arc, channel)) {
+      continue;
+    }
     if (out.sender != net::kInvalidNode) {
       out.collision = true;
       break;

@@ -9,7 +9,7 @@
 //   * indexed: one O(#transmitters) sweep per slot groups transmitters
 //     into per-channel buckets (allocated once, cleared through the
 //     touched list); a listener resolves against only its channel's
-//     bucket through net::Network::in_span(), early-exiting at the second
+//     bucket through net::Network::in_arc(), early-exiting at the second
 //     matching sender;
 //   * reference: the original per-listener scan over the full in-link
 //     list, kept as the executable specification for the equivalence
@@ -63,13 +63,16 @@ class SlotMedium {
       const net::Network& network, net::NodeId listener,
       net::ChannelId channel, const TransmitsOn& transmits_on) {
     Resolution out;
-    for (const net::Network::InLink& in : network.in_links(listener)) {
-      if (!transmits_on(in.from) || !in.span->contains(channel)) continue;
+    const auto offsets = network.topology().in_offsets();
+    for (std::size_t arc = offsets[listener]; arc < offsets[listener + 1];
+         ++arc) {
+      const net::NodeId v = network.topology().in_sources()[arc];
+      if (!transmits_on(v) || !network.carries(arc, channel)) continue;
       if (out.sender != net::kInvalidNode) {
         out.collision = true;
         break;
       }
-      out.sender = in.from;
+      out.sender = v;
     }
     return out;
   }

@@ -1,6 +1,7 @@
 #include "sim/soa_kernel.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "sim/engine_common.hpp"
@@ -9,29 +10,12 @@
 
 namespace m2hew::sim {
 
-namespace {
-
-[[nodiscard]] std::size_t find_arc(const std::vector<std::size_t>& offsets,
-                                   const std::vector<net::NodeId>& sources,
-                                   net::Link link) {
-  const auto begin = sources.begin() +
-                     static_cast<std::ptrdiff_t>(offsets[link.to]);
-  const auto end = sources.begin() +
-                   static_cast<std::ptrdiff_t>(offsets[link.to + 1]);
-  const auto it = std::lower_bound(begin, end, link.from);
-  M2HEW_CHECK_MSG(it != end && *it == link.from,
-                  "pair is not an arc of the network");
-  return static_cast<std::size_t>(it - sources.begin());
-}
-
-}  // namespace
-
 bool SoaSlotKernelResult::is_covered(net::Link link) const {
-  return covered[find_arc(in_offsets, in_sources, link)] != 0;
+  return covered[network->arc_of(link.from, link.to)] != 0;
 }
 
 double SoaSlotKernelResult::first_coverage_slot(net::Link link) const {
-  const std::size_t arc = find_arc(in_offsets, in_sources, link);
+  const std::size_t arc = network->arc_of(link.from, link.to);
   M2HEW_CHECK_MSG(covered[arc] != 0, "link not covered yet");
   return first_slot[arc];
 }
@@ -39,27 +23,18 @@ double SoaSlotKernelResult::first_coverage_slot(net::Link link) const {
 SoaSlotKernel::SoaSlotKernel(const net::Network& network)
     : network_(&network),
       n_(network.node_count()),
-      span_stride_(net::ChannelSet::word_count(network.universe_size())),
       total_links_(network.links().size()) {
   avail_off_.reserve(static_cast<std::size_t>(n_) + 1);
   avail_off_.push_back(0);
   for (net::NodeId u = 0; u < n_; ++u) {
-    const auto members = network.available(u).to_vector();
-    avail_flat_.insert(avail_flat_.end(), members.begin(), members.end());
-    avail_off_.push_back(avail_flat_.size());
-  }
-
-  in_off_.reserve(static_cast<std::size_t>(n_) + 1);
-  in_off_.push_back(0);
-  for (net::NodeId u = 0; u < n_; ++u) {
-    for (const net::Network::InLink& in : network.in_links(u)) {
-      in_src_.push_back(in.from);
-      const auto words = in.span->words();
-      span_words_.insert(span_words_.end(), words.begin(), words.end());
-      // Narrow universes can yield zero-word spans; keep the stride.
-      span_words_.resize(in_src_.size() * span_stride_, 0);
+    const auto words = network.available(u).words();
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1) {
+        avail_flat_.push_back(static_cast<net::ChannelId>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+      }
     }
-    in_off_.push_back(in_src_.size());
+    avail_off_.push_back(avail_flat_.size());
   }
 
   mode_.resize(n_);
@@ -76,12 +51,13 @@ void SoaSlotKernel::refresh_active(const net::TopologyProvider& provider,
       !active_.empty()) {
     return;
   }
-  active_.resize(in_src_.size());
+  const auto in_off = network_->topology().in_offsets();
+  const auto in_src = network_->topology().in_sources();
+  active_.resize(in_src.size());
   const net::Network& net = provider.epoch(e);
   for (net::NodeId u = 0; u < n_; ++u) {
-    const std::size_t arcs_end = in_off_[u + 1];
-    for (std::size_t arc = in_off_[u]; arc < arcs_end; ++arc) {
-      active_[arc] = net.in_span(in_src_[arc], u) != nullptr ? 1 : 0;
+    for (std::size_t arc = in_off[u]; arc < in_off[u + 1]; ++arc) {
+      active_[arc] = net.in_arc(in_src[arc], u) != net::Network::kNoArc;
     }
   }
   active_provider_ = &provider;
@@ -112,10 +88,9 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
   SoaSlotKernelResult result;
   result.activity.assign(n, RadioActivity{});
   result.total_links = total_links_;
-  result.in_offsets = in_off_;
-  result.in_sources = in_src_;
-  result.covered.assign(in_src_.size(), 0);
-  result.first_slot.assign(in_src_.size(), -1.0);
+  result.network = network_;
+  result.covered.assign(network_->topology().arc_count(), 0);
+  result.first_slot.assign(network_->topology().arc_count(), -1.0);
 
   // Per-trial policy state: every node starts one fresh policy.
   std::fill(slot_in_stage_.begin(), slot_in_stage_.end(), 0u);
@@ -125,6 +100,11 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
             static_cast<std::uint64_t>(table.initial_estimate));
   std::fill(hop_clock_.begin(), hop_clock_.end(), std::uint64_t{0});
 
+  // The network's own in-CSR and flat span table.
+  const std::size_t* const in_off = network_->topology().in_offsets().data();
+  const net::NodeId* const in_src = network_->topology().in_sources().data();
+  const std::uint64_t* const span_words = network_->span_words().data();
+  const std::size_t span_stride = network_->span_stride();
   const unsigned p_stride = SoaPolicyTable::kMaxStageSlot + 1;
   const double* const p_staged = table.p_staged.data();
   const double* const p_constant = table.p_constant.data();
@@ -250,12 +230,12 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
       net::NodeId sender = net::kInvalidNode;
       std::size_t sender_arc = 0;
       bool collision = false;
-      const std::size_t arcs_end = in_off_[u + 1];
-      for (std::size_t arc = in_off_[u]; arc < arcs_end; ++arc) {
-        const net::NodeId v = in_src_[arc];
+      const std::size_t arcs_end = in_off[u + 1];
+      for (std::size_t arc = in_off[u]; arc < arcs_end; ++arc) {
+        const net::NodeId v = in_src[arc];
         if (mode_[v] != Mode::kTransmit || channel_[v] != c) continue;
         if (masked && active_[arc] == 0) continue;
-        if ((span_words_[arc * span_stride_ + word] & bit) == 0) continue;
+        if ((span_words[arc * span_stride + word] & bit) == 0) continue;
         if (sender != net::kInvalidNode) {
           collision = true;
           break;

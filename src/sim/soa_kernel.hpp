@@ -2,18 +2,18 @@
 // engine's inner loop, for the N=10⁵–10⁶ regime the paper's asymptotic
 // claims live in.
 //
-// run_slot_engine pays, per node per slot, a virtual policy dispatch and
-// (per trial) a heap-allocated policy object, and its DiscoveryState is a
-// dense N² matrix. This kernel replaces all three:
+// run_slot_engine pays, per node per slot, a virtual policy dispatch, and
+// per trial a heap-allocated policy object per node and a DiscoveryState
+// with per-node neighbor tables. This kernel replaces all three:
 //
 //   * policy-as-data  — per-node flat arrays (stage counter, stage length,
 //     degree estimate) stepped against a precomputed probability matrix
 //     (sim/soa_policy.hpp, built by core); no virtual calls, no per-node
 //     allocations;
-//   * word-level spans — each in-arc's span is a flat span-of-words slice;
-//     the reception scan tests channel membership with one shift/mask;
-//   * CSR coverage    — covered/first-slot live per in-arc position in the
-//     network's in-link CSR order, O(arcs) not O(N²);
+//   * word-level spans — the scan reads the Network's own in-CSR and flat
+//     span table (borrowed, not copied), one shift/mask per probe;
+//   * CSR coverage    — covered/first-slot live per in-CSR arc position,
+//     with no neighbor tables;
 //   * per-trial arena — every array is sized at construction and reused
 //     across run() calls; steady-state slots allocate nothing.
 //
@@ -39,9 +39,9 @@
 
 namespace m2hew::sim {
 
-/// Result of one SoA-kernel trial. Mirrors SlotEngineResult, with the N²
-/// DiscoveryState replaced by CSR-indexed coverage (position = index into
-/// the receiver's in-link list, offset by in_offsets[receiver]).
+/// Result of one SoA-kernel trial. Mirrors SlotEngineResult, with the
+/// DiscoveryState replaced by bare coverage arrays indexed by in-CSR arc
+/// position (net::Network::in_arc).
 struct SoaSlotKernelResult {
   bool complete = false;
   std::uint64_t completion_slot = 0;
@@ -53,10 +53,9 @@ struct SoaSlotKernelResult {
   std::uint64_t covered_links = 0;
   std::uint64_t receptions = 0;
 
-  /// In-link CSR mirror: arc a of receiver u (sources sorted ascending)
-  /// sits at position in_offsets[u] + a; in_sources names the sender.
-  std::vector<std::size_t> in_offsets;
-  std::vector<net::NodeId> in_sources;
+  /// The network the kernel was flattened from (it must outlive the
+  /// result); is_covered() resolves links through its in-CSR.
+  const net::Network* network = nullptr;
   /// Per arc position: 1 iff the link was covered, and the global slot of
   /// its first coverage (-1.0 while uncovered).
   std::vector<std::uint8_t> covered;
@@ -69,8 +68,9 @@ struct SoaSlotKernelResult {
 
 class SoaSlotKernel {
  public:
-  /// Flattens the network once: available-channel CSR, in-link CSR with
-  /// word-level span copies. Reused across run() calls (trials).
+  /// Flattens the network's available-channel sets once and borrows its
+  /// in-CSR and span table, so `network` must outlive the kernel. Reused
+  /// across run() calls (trials).
   explicit SoaSlotKernel(const net::Network& network);
 
   /// Runs one trial. `config.indexed_reception` is ignored (the kernel has
@@ -90,15 +90,11 @@ class SoaSlotKernel {
 
   const net::Network* network_;
   net::NodeId n_ = 0;
-  std::size_t span_stride_ = 0;  // words per span slice
   std::uint64_t total_links_ = 0;
 
   // Immutable per-network flattening.
   std::vector<std::size_t> avail_off_;      // n+1
   std::vector<net::ChannelId> avail_flat_;  // A(u) members, ascending
-  std::vector<std::size_t> in_off_;         // n+1
-  std::vector<net::NodeId> in_src_;         // arc → sender
-  std::vector<std::uint64_t> span_words_;   // arc → span bitset slice
 
   // Per-trial state, sized once and reset at each run().
   std::vector<Mode> mode_;

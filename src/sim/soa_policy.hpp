@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "net/types.hpp"
-#include "util/check.hpp"
 
 namespace m2hew::sim {
 
@@ -81,13 +80,6 @@ struct SoaPolicyTable {
   /// [u * hop_period + w] is node u's channel when the global sequence is
   /// at w. Built in core so the remap rule has one definition.
   std::vector<net::ChannelId> hop_map;
-
-  [[nodiscard]] double staged_probability(std::size_t available,
-                                          unsigned slot_in_stage) const {
-    M2HEW_DCHECK(available <= max_available);
-    M2HEW_DCHECK(slot_in_stage >= 1 && slot_in_stage <= kMaxStageSlot);
-    return p_staged[available * (kMaxStageSlot + 1) + slot_in_stage];
-  }
 
   /// Structural validity (not bit-exactness — the equivalence suite pins
   /// that); kernels check this once per trial.

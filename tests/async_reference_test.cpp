@@ -131,9 +131,8 @@ struct RefResult {
     for (const RefFrame& g : frames[u]) {
       if (g.mode != sim::Mode::kReceive) continue;
       const net::ChannelId c = g.channel;
-      for (const net::Network::InLink& in : inst.network.in_links(u)) {
-        if (!in.span->contains(c)) continue;
-        const net::NodeId v = in.from;
+      for (const net::NodeId v : inst.network.in_links(u)) {
+        if (!inst.network.span(v, u).contains(c)) continue;
         for (const RefFrame& f : frames[v]) {
           if (f.mode != sim::Mode::kTransmit || f.channel != c) continue;
           if (f.start >= g.end || f.end <= g.start) continue;
@@ -142,10 +141,11 @@ struct RefResult {
             const double s1 = f.bounds[j + 1];
             if (s0 < g.start || s1 > g.end) continue;
             bool interfered = false;
-            for (const net::Network::InLink& other :
-                 inst.network.in_links(u)) {
-              if (other.from == v || !other.span->contains(c)) continue;
-              for (const RefFrame& h : frames[other.from]) {
+            for (const net::NodeId other : inst.network.in_links(u)) {
+              if (other == v || !inst.network.span(other, u).contains(c)) {
+                continue;
+              }
+              for (const RefFrame& h : frames[other]) {
                 if (h.mode != sim::Mode::kTransmit || h.channel != c) {
                   continue;
                 }

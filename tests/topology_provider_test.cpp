@@ -67,7 +67,6 @@ namespace {
 // ANY plan attached.
 template <typename Time>
 [[nodiscard]] sim::FaultPlan<Time> make_fault_plan(std::uint64_t seed,
-                                                   net::NodeId n,
                                                    double horizon) {
   sim::FaultPlan<Time> plan;
   util::Rng rng(seed ^ 0xFA157);
@@ -138,7 +137,7 @@ void expect_same_arcs(const net::Network& a, const net::Network& b) {
     const auto ib = b.in_links(u);
     ASSERT_EQ(ia.size(), ib.size()) << "in-degree of node " << u;
     for (std::size_t i = 0; i < ia.size(); ++i) {
-      EXPECT_EQ(ia[i].from, ib[i].from) << "in-link " << i << " of " << u;
+      EXPECT_EQ(ia[i], ib[i]) << "in-link " << i << " of " << u;
     }
   }
 }
@@ -207,9 +206,9 @@ TEST(EpochTopologyProvider, UnionContainsEveryEpochArc) {
   for (std::size_t e = 0; e < provider.epoch_count(); ++e) {
     const net::Network& epoch = provider.epoch(e);
     for (net::NodeId u = 0; u < epoch.node_count(); ++u) {
-      for (const net::Network::InLink& in : epoch.in_links(u)) {
-        EXPECT_NE(u_net.in_span(in.from, u), nullptr)
-            << "epoch " << e << " arc " << in.from << "->" << u
+      for (const net::NodeId from : epoch.in_links(u)) {
+        EXPECT_NE(u_net.in_arc(from, u), net::Network::kNoArc)
+            << "epoch " << e << " arc " << from << "->" << u
             << " missing from the union";
       }
     }
@@ -276,7 +275,7 @@ TEST_P(FrozenScheduleEquivalence, SlotEngineMatchesStatic) {
   config.loss_probability = (seed % 3 == 1) ? 0.25 : 0.0;
   config.starts.assign(f.n, 0);
   for (auto& s : config.starts) s = rng.uniform(25);
-  config.faults = make_fault_plan<std::uint64_t>(seed, f.n, 400.0);
+  config.faults = make_fault_plan<std::uint64_t>(seed, 400.0);
   if (config.faults.burst_loss.enabled) config.loss_probability = 0.0;
 
   const sim::SyncPolicyFactory factory =
@@ -314,7 +313,7 @@ TEST_P(FrozenScheduleEquivalence, AsyncEngineMatchesStatic) {
   config.loss_probability = (seed % 3 == 2) ? 0.2 : 0.0;
   config.starts.assign(f.n, 0.0);
   for (auto& t : config.starts) t = rng.uniform_double() * 10.0;
-  config.faults = make_fault_plan<double>(seed, f.n, 400.0);
+  config.faults = make_fault_plan<double>(seed, 400.0);
   if (config.faults.burst_loss.enabled) config.loss_probability = 0.0;
   config.clock_builder = [](net::NodeId, std::uint64_t clock_seed) {
     sim::PiecewiseDriftClock::Config drift;
@@ -355,7 +354,7 @@ TEST_P(FrozenScheduleEquivalence, MultiRadioEngineMatchesStatic) {
   config.loss_probability = (seed % 3 == 1) ? 0.2 : 0.0;
   config.starts.assign(f.n, 0);
   for (auto& s : config.starts) s = rng.uniform(20);
-  config.faults = make_fault_plan<std::uint64_t>(seed, f.n, 300.0);
+  config.faults = make_fault_plan<std::uint64_t>(seed, 300.0);
   if (config.faults.burst_loss.enabled) config.loss_probability = 0.0;
 
   const sim::MultiRadioPolicyFactory factory =
@@ -390,7 +389,7 @@ TEST_P(FrozenScheduleEquivalence, SoaKernelMatchesStatic) {
   config.loss_probability = (seed % 3 == 1) ? 0.25 : 0.0;
   config.starts.assign(f.n, 0);
   for (auto& s : config.starts) s = rng.uniform(25);
-  config.faults = make_fault_plan<std::uint64_t>(seed, f.n, 400.0);
+  config.faults = make_fault_plan<std::uint64_t>(seed, 400.0);
   if (config.faults.burst_loss.enabled) config.loss_probability = 0.0;
 
   const core::SyncPolicySpec spec =
