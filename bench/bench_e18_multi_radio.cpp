@@ -16,6 +16,7 @@
 #include "runner/report.hpp"
 #include "runner/scenario.hpp"
 #include "runner/trials.hpp"
+#include "sim/slot_engine.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -43,10 +44,10 @@ void BM_MultiRadio(benchmark::State& state) {
   const net::Network network = workload(1);
   std::uint64_t seed = 1;
   for (auto _ : state) {
-    sim::MultiRadioEngineConfig engine;
+    sim::SlotEngineConfig engine;
     engine.max_slots = 5'000'000;
     engine.seed = seed++;
-    const auto result = sim::run_multi_radio_engine(
+    const auto result = sim::run_slot_engine(
         network, core::make_multi_radio_alg3(radios, kDeltaEst), engine);
     benchmark::DoNotOptimize(result.completion_slot);
   }
@@ -77,11 +78,11 @@ void reproduce_table() {
     // The root seed 80+radios reproduces the per-trial seeds of earlier
     // revisions (the runner derives trial t's seed the same way), so the
     // completion statistics are bit-identical to the direct-loop version.
-    runner::MultiRadioTrialConfig trial;
+    runner::SyncTrialConfig trial;
     trial.trials = 30;
     trial.seed = 80 + radios;
     trial.engine.max_slots = 5'000'000;
-    const auto stats = runner::run_multi_radio_trials(
+    const auto stats = runner::run_sync_trials(
         network, core::make_multi_radio_alg3(radios, kDeltaEst), trial);
     const auto summary = stats.completion_slots.summarize();
     if (radios == 1) r1_mean = summary.mean;

@@ -32,9 +32,10 @@ const std::vector<net::ChannelId>& MultiRadioAlg3Policy::stripe(
   return stripes_[r];
 }
 
-std::vector<sim::SlotAction> MultiRadioAlg3Policy::next_slot(util::Rng& rng) {
-  std::vector<sim::SlotAction> actions(radios_);
+void MultiRadioAlg3Policy::next_slot(util::Rng& rng,
+                                     std::span<sim::SlotAction> actions) {
   for (unsigned r = 0; r < radios_; ++r) {
+    actions[r] = sim::SlotAction{};
     if (stripes_[r].empty()) continue;  // quiet radio
     actions[r].channel =
         rng.pick(std::span<const net::ChannelId>(stripes_[r]));
@@ -42,7 +43,6 @@ std::vector<sim::SlotAction> MultiRadioAlg3Policy::next_slot(util::Rng& rng) {
                           ? sim::Mode::kTransmit
                           : sim::Mode::kReceive;
   }
-  return actions;
 }
 
 sim::MultiRadioPolicyFactory make_multi_radio_alg3(unsigned radios,
@@ -51,39 +51,6 @@ sim::MultiRadioPolicyFactory make_multi_radio_alg3(unsigned radios,
              -> std::unique_ptr<sim::MultiRadioPolicy> {
     return std::make_unique<MultiRadioAlg3Policy>(network.available(u),
                                                   radios, delta_est);
-  };
-}
-
-SingleRadioSyncAdapter::SingleRadioSyncAdapter(
-    std::unique_ptr<sim::SyncPolicy> inner)
-    : inner_(std::move(inner)) {
-  M2HEW_CHECK_MSG(inner_ != nullptr, "adapter needs a policy");
-}
-
-std::vector<sim::SlotAction> SingleRadioSyncAdapter::next_slot(
-    util::Rng& rng) {
-  return {inner_->next_slot(rng)};
-}
-
-void SingleRadioSyncAdapter::observe_reception(unsigned radio,
-                                               net::NodeId from,
-                                               bool first_time) {
-  (void)radio;
-  inner_->observe_reception(from, first_time);
-}
-
-void SingleRadioSyncAdapter::observe_listen_outcome(
-    unsigned radio, sim::ListenOutcome outcome) {
-  (void)radio;
-  inner_->observe_listen_outcome(outcome);
-}
-
-sim::MultiRadioPolicyFactory as_multi_radio(sim::SyncPolicyFactory factory) {
-  M2HEW_CHECK_MSG(factory != nullptr, "as_multi_radio needs a factory");
-  return [factory = std::move(factory)](const net::Network& network,
-                                        net::NodeId u)
-             -> std::unique_ptr<sim::MultiRadioPolicy> {
-    return std::make_unique<SingleRadioSyncAdapter>(factory(network, u));
   };
 }
 

@@ -14,11 +14,10 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "net/channel_set.hpp"
-#include "sim/multi_radio_engine.hpp"
 #include "sim/policy.hpp"
 
 namespace m2hew::core {
@@ -28,9 +27,9 @@ class MultiRadioAlg3Policy final : public sim::MultiRadioPolicy {
   MultiRadioAlg3Policy(const net::ChannelSet& available, unsigned radios,
                        std::size_t delta_est);
 
-  [[nodiscard]] std::vector<sim::SlotAction> next_slot(
-      util::Rng& rng) override;
   [[nodiscard]] unsigned radio_count() const override { return radios_; }
+  void next_slot(util::Rng& rng,
+                 std::span<sim::SlotAction> actions) override;
 
   /// Channels assigned to radio r (exposed for tests).
   [[nodiscard]] const std::vector<net::ChannelId>& stripe(unsigned r) const;
@@ -44,36 +43,5 @@ class MultiRadioAlg3Policy final : public sim::MultiRadioPolicy {
 /// Factory with a uniform radio count across nodes.
 [[nodiscard]] sim::MultiRadioPolicyFactory make_multi_radio_alg3(
     unsigned radios, std::size_t delta_est);
-
-/// Presents any single-radio SyncPolicy as a one-radio MultiRadioPolicy:
-/// next_slot forwards to the wrapped policy (same RNG draws), and feedback
-/// is forwarded with the radio index dropped. Running
-/// run_multi_radio_engine over this adapter is bit-identical to
-/// run_slot_engine over the wrapped factory (the engine-parity test
-/// proves it).
-class SingleRadioSyncAdapter final : public sim::MultiRadioPolicy {
- public:
-  explicit SingleRadioSyncAdapter(std::unique_ptr<sim::SyncPolicy> inner);
-
-  [[nodiscard]] std::vector<sim::SlotAction> next_slot(
-      util::Rng& rng) override;
-  [[nodiscard]] unsigned radio_count() const override { return 1; }
-  void observe_reception(unsigned radio, net::NodeId from,
-                         bool first_time) override;
-  void observe_listen_outcome(unsigned radio,
-                              sim::ListenOutcome outcome) override;
-  /// Forwarded so a wrapped trust policy keeps its admission authority
-  /// under the multi-radio engine.
-  [[nodiscard]] bool admit_neighbor(net::NodeId announced) override {
-    return inner_->admit_neighbor(announced);
-  }
-
- private:
-  std::unique_ptr<sim::SyncPolicy> inner_;
-};
-
-/// Lifts a single-radio policy factory into the multi-radio engine.
-[[nodiscard]] sim::MultiRadioPolicyFactory as_multi_radio(
-    sim::SyncPolicyFactory factory);
 
 }  // namespace m2hew::core

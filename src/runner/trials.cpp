@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/soa_kernel.hpp"
@@ -147,6 +148,99 @@ void dispatch_trials(std::size_t count, std::size_t threads,
   pool.parallel_for(count, body);
 }
 
+[[nodiscard]] TrialRunRecord run_record(const SyncTrialStats& stats) {
+  return make_run_record(stats, /*async=*/false, stats.completion_slots);
+}
+
+[[nodiscard]] TrialRunRecord run_record(const AsyncTrialStats& stats) {
+  return make_run_record(stats, /*async=*/true, stats.completion_after_ts);
+}
+
+/// The one trial loop behind every run_*_trials entry point. Engine
+/// configs are prepared serially in trial order (trial t seeded with
+/// derive(seed, t)) so per_trial hooks keep their single-threaded
+/// contract; `run_trial` executes each trial on the worker pool and its
+/// outcome lands in slot t; `fold` then reduces the outcomes in trial
+/// order, so parallel output is identical to serial output. The run is
+/// timed from `start` and appended to the run log.
+template <typename Stats, typename TrialConfig, typename RunTrial,
+          typename Fold>
+[[nodiscard]] Stats run_trial_loop(const TrialConfig& config,
+                                   Clock::time_point start,
+                                   const RunTrial& run_trial,
+                                   const Fold& fold) {
+  Stats stats;
+  stats.trials = config.trials;
+  stats.threads_used = resolve_threads(config.threads, config.trials);
+
+  const util::SeedSequence seeds(config.seed);
+  std::vector<decltype(config.engine)> engines;
+  engines.reserve(config.trials);
+  for (std::size_t t = 0; t < config.trials; ++t) {
+    engines.push_back(config.engine);
+    engines.back().seed = seeds.derive(t);
+    if (config.per_trial) config.per_trial(t, engines.back());
+  }
+
+  using Outcome = std::decay_t<decltype(run_trial(engines.front()))>;
+  std::vector<Outcome> outcomes(config.trials);
+  dispatch_trials(config.trials, stats.threads_used, [&](std::size_t t) {
+    outcomes[t] = run_trial(engines[t]);
+  });
+
+  for (const Outcome& outcome : outcomes) fold(stats, outcome);
+  stats.elapsed_seconds = seconds_since(start);
+  log_trial_run(run_record(stats));
+  return stats;
+}
+
+/// One slotted trial's contribution to SyncTrialStats.
+struct SyncOutcome {
+  bool complete = false;
+  double completion_slot = 0.0;
+  sim::RobustnessReport robustness;
+  sim::EncounterReport encounters;
+  double energy = 0.0;
+};
+
+/// The slotted trial loop: `run(engine config)` executes one trial on the
+/// slot engine or the SoA kernel, with a per-trial encounter tracker
+/// chained into its reception hook when the config names a contact
+/// schedule.
+template <typename Run>
+[[nodiscard]] SyncTrialStats run_slotted_trials(const SyncTrialConfig& config,
+                                                Clock::time_point start,
+                                                const Run& run) {
+  const auto run_trial = [&](sim::SlotEngineConfig& engine) {
+    std::optional<sim::EncounterTracker> tracker;
+    if (config.encounters != nullptr) {
+      tracker.emplace(*config.encounters);
+      attach_tracker(engine, *tracker);
+    }
+    const auto result = run(engine);
+    SyncOutcome outcome{result.complete,
+                        static_cast<double>(result.completion_slot),
+                        result.robustness,
+                        {},
+                        0.0};
+    if (tracker.has_value()) {
+      outcome.encounters = tracker->report();
+      outcome.energy = sim::total_activity(result.activity).energy();
+    }
+    return outcome;
+  };
+  const auto fold = [&](SyncTrialStats& stats, const SyncOutcome& outcome) {
+    fold_robustness(stats.robustness, outcome.robustness);
+    if (config.encounters != nullptr) {
+      fold_encounters(stats.encounters, outcome.encounters, outcome.energy);
+    }
+    if (!outcome.complete) return;
+    ++stats.completed;
+    stats.completion_slots.add(outcome.completion_slot);
+  };
+  return run_trial_loop<SyncTrialStats>(config, start, run_trial, fold);
+}
+
 }  // namespace
 
 void set_default_trial_threads(std::size_t threads) noexcept {
@@ -220,7 +314,7 @@ void fold_encounters(EncounterStats& aggregate,
 }
 
 TrialRunRecord make_sync_run_record(const SyncTrialStats& stats) {
-  return make_run_record(stats, /*async=*/false, stats.completion_slots);
+  return run_record(stats);
 }
 
 void log_trial_run(const TrialRunRecord& record) {
@@ -231,65 +325,19 @@ void log_trial_run(const TrialRunRecord& record) {
 SyncTrialStats run_sync_trials(const net::Network& network,
                                const sim::SyncPolicyFactory& factory,
                                const SyncTrialConfig& config) {
-  const auto start = Clock::now();
-  const util::SeedSequence seeds(config.seed);
-  SyncTrialStats stats;
-  stats.trials = config.trials;
-  stats.threads_used = resolve_threads(config.threads, config.trials);
+  return run_slotted_trials(
+      config, Clock::now(), [&](const sim::SlotEngineConfig& engine) {
+        return sim::run_slot_engine(network, factory, engine);
+      });
+}
 
-  // Engine configs are prepared serially in trial order so per_trial
-  // hooks keep their single-threaded contract.
-  std::vector<sim::SlotEngineConfig> engines;
-  engines.reserve(config.trials);
-  for (std::size_t t = 0; t < config.trials; ++t) {
-    engines.push_back(config.engine);
-    engines.back().seed = seeds.derive(t);
-    if (config.per_trial) config.per_trial(t, engines.back());
-  }
-
-  // Per-trial outcomes land in slot t; the reduction below walks them in
-  // trial order, so parallel output is identical to serial output.
-  struct Outcome {
-    bool complete = false;
-    double completion_slot = 0.0;
-    sim::RobustnessReport robustness;
-    sim::EncounterReport encounters;
-    double energy = 0.0;
-  };
-  std::vector<Outcome> outcomes(config.trials);
-  dispatch_trials(config.trials, stats.threads_used, [&](std::size_t t) {
-    std::optional<sim::EncounterTracker> tracker;
-    if (config.encounters != nullptr) {
-      tracker.emplace(*config.encounters);
-      attach_tracker(engines[t], *tracker);
-    }
-    const auto result = sim::run_slot_engine(network, factory, engines[t]);
-    outcomes[t] = {result.complete,
-                   static_cast<double>(result.completion_slot),
-                   result.robustness,
-                   {},
-                   0.0};
-    if (tracker.has_value()) {
-      outcomes[t].encounters = tracker->report();
-      outcomes[t].energy = sim::total_activity(result.activity).energy();
-    }
-  });
-
-  stats.completion_slots.reserve(config.trials);
-  for (const Outcome& outcome : outcomes) {
-    fold_robustness(stats.robustness, outcome.robustness);
-    if (config.encounters != nullptr) {
-      fold_encounters(stats.encounters, outcome.encounters, outcome.energy);
-    }
-    if (!outcome.complete) continue;
-    ++stats.completed;
-    stats.completion_slots.add(outcome.completion_slot);
-  }
-  stats.elapsed_seconds = seconds_since(start);
-  record_run(stats.trials, stats.elapsed_seconds);
-  append_run_record(
-      make_run_record(stats, /*async=*/false, stats.completion_slots));
-  return stats;
+SyncTrialStats run_sync_trials(const net::Network& network,
+                               const sim::MultiRadioPolicyFactory& factory,
+                               const SyncTrialConfig& config) {
+  return run_slotted_trials(
+      config, Clock::now(), [&](const sim::SlotEngineConfig& engine) {
+        return sim::run_slot_engine(network, factory, engine);
+      });
 }
 
 SyncTrialStats run_sync_trials(const net::Network& network,
@@ -300,19 +348,6 @@ SyncTrialStats run_sync_trials(const net::Network& network,
   }
 
   const auto start = Clock::now();
-  const util::SeedSequence seeds(config.seed);
-  SyncTrialStats stats;
-  stats.trials = config.trials;
-  stats.threads_used = resolve_threads(config.threads, config.trials);
-
-  std::vector<sim::SlotEngineConfig> engines;
-  engines.reserve(config.trials);
-  for (std::size_t t = 0; t < config.trials; ++t) {
-    engines.push_back(config.engine);
-    engines.back().seed = seeds.derive(t);
-    if (config.per_trial) config.per_trial(t, engines.back());
-  }
-
   const sim::SoaPolicyTable table = core::build_soa_policy_table(network, spec);
 
   // One flattened kernel per worker, handed out through a free-list: a
@@ -322,91 +357,39 @@ SyncTrialStats run_sync_trials(const net::Network& network,
   std::vector<std::unique_ptr<sim::SoaSlotKernel>> idle_kernels;
   std::mutex kernel_mutex;
   const std::size_t kernel_count =
-      std::min(stats.threads_used, std::max<std::size_t>(config.trials, 1));
+      std::min(resolve_threads(config.threads, config.trials),
+               std::max<std::size_t>(config.trials, 1));
   idle_kernels.reserve(kernel_count);
   for (std::size_t k = 0; k < kernel_count; ++k) {
     idle_kernels.push_back(std::make_unique<sim::SoaSlotKernel>(network));
   }
 
-  struct Outcome {
-    bool complete = false;
-    double completion_slot = 0.0;
-    sim::RobustnessReport robustness;
-    sim::EncounterReport encounters;
-    double energy = 0.0;
-  };
-  std::vector<Outcome> outcomes(config.trials);
-  dispatch_trials(config.trials, stats.threads_used, [&](std::size_t t) {
-    std::unique_ptr<sim::SoaSlotKernel> kernel;
-    {
-      const std::lock_guard<std::mutex> lock(kernel_mutex);
-      kernel = std::move(idle_kernels.back());
-      idle_kernels.pop_back();
-    }
-    std::optional<sim::EncounterTracker> tracker;
-    if (config.encounters != nullptr) {
-      tracker.emplace(*config.encounters);
-      attach_tracker(engines[t], *tracker);
-    }
-    const auto result = kernel->run(table, engines[t]);
-    {
-      const std::lock_guard<std::mutex> lock(kernel_mutex);
-      idle_kernels.push_back(std::move(kernel));
-    }
-    outcomes[t] = {result.complete,
-                   static_cast<double>(result.completion_slot),
-                   result.robustness,
-                   {},
-                   0.0};
-    if (tracker.has_value()) {
-      outcomes[t].encounters = tracker->report();
-      outcomes[t].energy = sim::total_activity(result.activity).energy();
-    }
-  });
-
-  stats.completion_slots.reserve(config.trials);
-  for (const Outcome& outcome : outcomes) {
-    fold_robustness(stats.robustness, outcome.robustness);
-    if (config.encounters != nullptr) {
-      fold_encounters(stats.encounters, outcome.encounters, outcome.energy);
-    }
-    if (!outcome.complete) continue;
-    ++stats.completed;
-    stats.completion_slots.add(outcome.completion_slot);
-  }
-  stats.elapsed_seconds = seconds_since(start);
-  record_run(stats.trials, stats.elapsed_seconds);
-  append_run_record(
-      make_run_record(stats, /*async=*/false, stats.completion_slots));
-  return stats;
+  return run_slotted_trials(
+      config, start, [&](const sim::SlotEngineConfig& engine) {
+        std::unique_ptr<sim::SoaSlotKernel> kernel;
+        {
+          const std::lock_guard<std::mutex> lock(kernel_mutex);
+          kernel = std::move(idle_kernels.back());
+          idle_kernels.pop_back();
+        }
+        auto result = kernel->run(table, engine);
+        const std::lock_guard<std::mutex> lock(kernel_mutex);
+        idle_kernels.push_back(std::move(kernel));
+        return result;
+      });
 }
 
 AsyncTrialStats run_async_trials(const net::Network& network,
                                  const sim::AsyncPolicyFactory& factory,
                                  const AsyncTrialConfig& config) {
-  const auto start = Clock::now();
-  const util::SeedSequence seeds(config.seed);
-  AsyncTrialStats stats;
-  stats.trials = config.trials;
-  stats.threads_used = resolve_threads(config.threads, config.trials);
-
-  std::vector<sim::AsyncEngineConfig> engines;
-  engines.reserve(config.trials);
-  for (std::size_t t = 0; t < config.trials; ++t) {
-    engines.push_back(config.engine);
-    engines.back().seed = seeds.derive(t);
-    if (config.per_trial) config.per_trial(t, engines.back());
-  }
-
   struct Outcome {
     bool complete = false;
     double after_ts = 0.0;
     double max_frames = 0.0;
     sim::RobustnessReport robustness;
   };
-  std::vector<Outcome> outcomes(config.trials);
-  dispatch_trials(config.trials, stats.threads_used, [&](std::size_t t) {
-    const auto result = sim::run_async_engine(network, factory, engines[t]);
+  const auto run_trial = [&](const sim::AsyncEngineConfig& engine) {
+    const auto result = sim::run_async_engine(network, factory, engine);
     Outcome outcome;
     outcome.complete = result.complete;
     outcome.robustness = result.robustness;
@@ -418,68 +401,17 @@ AsyncTrialStats run_async_trials(const net::Network& network,
       }
       outcome.max_frames = static_cast<double>(max_frames);
     }
-    outcomes[t] = outcome;
-  });
-
-  stats.completion_after_ts.reserve(config.trials);
-  stats.max_full_frames.reserve(config.trials);
-  for (const Outcome& outcome : outcomes) {
+    return outcome;
+  };
+  const auto fold = [](AsyncTrialStats& stats, const Outcome& outcome) {
     fold_robustness(stats.robustness, outcome.robustness);
-    if (!outcome.complete) continue;
+    if (!outcome.complete) return;
     ++stats.completed;
     stats.completion_after_ts.add(outcome.after_ts);
     stats.max_full_frames.add(outcome.max_frames);
-  }
-  stats.elapsed_seconds = seconds_since(start);
-  record_run(stats.trials, stats.elapsed_seconds);
-  append_run_record(
-      make_run_record(stats, /*async=*/true, stats.completion_after_ts));
-  return stats;
-}
-
-MultiRadioTrialStats run_multi_radio_trials(
-    const net::Network& network, const sim::MultiRadioPolicyFactory& factory,
-    const MultiRadioTrialConfig& config) {
-  const auto start = Clock::now();
-  const util::SeedSequence seeds(config.seed);
-  MultiRadioTrialStats stats;
-  stats.trials = config.trials;
-  stats.threads_used = resolve_threads(config.threads, config.trials);
-
-  std::vector<sim::MultiRadioEngineConfig> engines;
-  engines.reserve(config.trials);
-  for (std::size_t t = 0; t < config.trials; ++t) {
-    engines.push_back(config.engine);
-    engines.back().seed = seeds.derive(t);
-    if (config.per_trial) config.per_trial(t, engines.back());
-  }
-
-  struct Outcome {
-    bool complete = false;
-    double completion_slot = 0.0;
-    sim::RobustnessReport robustness;
   };
-  std::vector<Outcome> outcomes(config.trials);
-  dispatch_trials(config.trials, stats.threads_used, [&](std::size_t t) {
-    const auto result =
-        sim::run_multi_radio_engine(network, factory, engines[t]);
-    outcomes[t] = {result.complete,
-                   static_cast<double>(result.completion_slot),
-                   result.robustness};
-  });
-
-  stats.completion_slots.reserve(config.trials);
-  for (const Outcome& outcome : outcomes) {
-    fold_robustness(stats.robustness, outcome.robustness);
-    if (!outcome.complete) continue;
-    ++stats.completed;
-    stats.completion_slots.add(outcome.completion_slot);
-  }
-  stats.elapsed_seconds = seconds_since(start);
-  record_run(stats.trials, stats.elapsed_seconds);
-  append_run_record(
-      make_run_record(stats, /*async=*/false, stats.completion_slots));
-  return stats;
+  return run_trial_loop<AsyncTrialStats>(config, Clock::now(), run_trial,
+                                         fold);
 }
 
 }  // namespace m2hew::runner

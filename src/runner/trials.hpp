@@ -15,7 +15,6 @@
 #include "net/network.hpp"
 #include "sim/async_engine.hpp"
 #include "sim/encounter.hpp"
-#include "sim/multi_radio_engine.hpp"
 #include "sim/slot_engine.hpp"
 #include "util/stats.hpp"
 
@@ -222,8 +221,8 @@ struct SyncTrialConfig {
   /// for every value.
   std::size_t threads = 0;
   /// Inner loop selection; honored only by the SyncPolicySpec overload
-  /// (the factory overload has no data representation to hand the SoA
-  /// kernel and always runs the classic engine).
+  /// (the factory overloads have no data representation to hand the SoA
+  /// kernel and always run the classic engine).
   SyncKernel kernel = SyncKernel::kEngine;
   /// Optional contact schedule (caller-owned, must outlive the run): when
   /// set, every trial tracks per-contact detection through the engine's
@@ -234,6 +233,12 @@ struct SyncTrialConfig {
 
 [[nodiscard]] SyncTrialStats run_sync_trials(
     const net::Network& network, const sim::SyncPolicyFactory& factory,
+    const SyncTrialConfig& config);
+
+/// Multi-radio trials (related work [19], bench E18): the same slot engine
+/// and the same aggregate, with each node's policy driving several radios.
+[[nodiscard]] SyncTrialStats run_sync_trials(
+    const net::Network& network, const sim::MultiRadioPolicyFactory& factory,
     const SyncTrialConfig& config);
 
 /// Spec-driven synchronous trials: dispatches on `config.kernel`, running
@@ -286,24 +291,6 @@ struct AsyncTrialConfig {
 [[nodiscard]] AsyncTrialStats run_async_trials(
     const net::Network& network, const sim::AsyncPolicyFactory& factory,
     const AsyncTrialConfig& config);
-
-/// Multi-radio trials aggregate the same quantities as synchronous ones
-/// (the engine is slotted), so the stats type is shared.
-using MultiRadioTrialStats = SyncTrialStats;
-
-struct MultiRadioTrialConfig {
-  std::size_t trials = 30;
-  std::uint64_t seed = 1;
-  sim::MultiRadioEngineConfig engine;
-  /// Serial, trial-ordered hook; see SyncTrialConfig::per_trial.
-  std::function<void(std::size_t, sim::MultiRadioEngineConfig&)> per_trial;
-  /// Worker threads; see SyncTrialConfig::threads.
-  std::size_t threads = 0;
-};
-
-[[nodiscard]] MultiRadioTrialStats run_multi_radio_trials(
-    const net::Network& network, const sim::MultiRadioPolicyFactory& factory,
-    const MultiRadioTrialConfig& config);
 
 // --- Reduction building blocks shared with the streaming path ----------
 //

@@ -266,6 +266,10 @@ bool parse_sweep_spec(const util::IniFile& ini, SweepSpec& spec,
     *error = "[experiment] trials must be >= 1";
     return false;
   }
+  if (spec.max_slots == 0) {
+    *error = "[experiment] max-slots must be >= 1";
+    return false;
+  }
 
   const std::string kernel = ini.get("experiment", "kernel", "engine");
   if (kernel == "engine") {

@@ -1,6 +1,6 @@
 // Shared engine-core configuration and bookkeeping (the channel-medium
-// core). The paper defines ONE channel semantics (§II); the three engines
-// (slot, async, multi-radio) differ only in how time is sliced. Everything
+// core). The paper defines ONE channel semantics (§II); the two engines
+// (slot, async) differ only in how time is sliced. Everything
 // a trial needs regardless of the slicing lives here: the root seed, the
 // loss model, the dynamic primary-user field, the reception-resolution
 // strategy switch, the stop condition and the per-node start schedule —
@@ -88,7 +88,7 @@ struct EngineCommon {
   Time epoch_length{};
 };
 
-/// The slotted engines' common config (slot, multi-radio).
+/// The slotted common config (slot engine, SoA kernel).
 using SlotEngineCommon = EngineCommon<std::uint64_t>;
 /// The asynchronous engine's common config.
 using AsyncEngineCommon = EngineCommon<double>;

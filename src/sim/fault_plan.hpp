@@ -26,8 +26,8 @@
 // bit-identically; churn schedules are fixed before the run starts; the
 // Gilbert–Elliott chain draws from the shared loss stream in the same
 // (listener order) positions the i.i.d. draw would use, so indexed vs
-// reference reception and multi-radio R=1 vs slot-engine parity hold with
-// any plan attached.
+// reference reception and SoA vs slot-engine equivalence hold with any
+// plan attached.
 #pragma once
 
 #include <cstdint>

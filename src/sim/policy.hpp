@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "net/network.hpp"
 #include "net/types.hpp"
@@ -56,6 +57,47 @@ class SyncPolicy {
   }
 };
 
+/// Synchronous-system policy for a node with a fixed number of
+/// transceivers — the multi-interface model of related work [19]; the
+/// paper's single radio (§II) is R = 1, and the slot engine runs every
+/// SyncPolicy as a one-radio MultiRadioPolicy. Called once per slot like
+/// SyncPolicy; feedback mirrors SyncPolicy, tagged with the radio index it
+/// arrived on.
+class MultiRadioPolicy {
+ public:
+  virtual ~MultiRadioPolicy() = default;
+
+  /// Number of radios; fixed for the policy's lifetime. The engine sizes
+  /// the node's slice of its per-slot action array from it at setup.
+  [[nodiscard]] virtual unsigned radio_count() const = 0;
+
+  /// Writes this slot's action for every radio into `actions`, which is
+  /// caller-owned and has exactly radio_count() entries. Non-quiet radios
+  /// must be tuned to pairwise-distinct channels.
+  virtual void next_slot(util::Rng& rng, std::span<SlotAction> actions) = 0;
+
+  /// Called when radio `radio` clearly receives from `from`.
+  virtual void observe_reception(unsigned radio, net::NodeId from,
+                                 bool first_time) {
+    (void)radio;
+    (void)from;
+    (void)first_time;
+  }
+
+  /// Called once per listening radio per slot with what that radio heard.
+  virtual void observe_listen_outcome(unsigned radio, ListenOutcome outcome) {
+    (void)radio;
+    (void)outcome;
+  }
+
+  /// Admission gate; the node's one neighbor table is shared by its
+  /// radios, so there is no radio argument. See SyncPolicy::admit_neighbor.
+  [[nodiscard]] virtual bool admit_neighbor(net::NodeId announced) {
+    (void)announced;
+    return true;
+  }
+};
+
 /// Asynchronous-system policy: called once at the start of each frame.
 class AsyncPolicy {
  public:
@@ -83,6 +125,8 @@ class AsyncPolicy {
 /// src/core/ deliberately read only A(u).
 using SyncPolicyFactory = std::function<std::unique_ptr<SyncPolicy>(
     const net::Network&, net::NodeId)>;
+using MultiRadioPolicyFactory = std::function<std::unique_ptr<
+    MultiRadioPolicy>(const net::Network&, net::NodeId)>;
 using AsyncPolicyFactory = std::function<std::unique_ptr<AsyncPolicy>(
     const net::Network&, net::NodeId)>;
 

@@ -1,10 +1,18 @@
 // Synchronous slotted simulator (§II "Synchronous System").
 //
-// Global time proceeds in synchronized slots. In each slot every started
-// node asks its policy for an action; then, per receiver u listening on
-// channel c, u hears a clear message from a topology neighbor v iff v was
-// the *only* neighbor of u transmitting on c in that slot (collisions
-// produce indistinguishable noise; nodes cannot detect collisions).
+// Global time proceeds in synchronized slots. In each slot every radio of
+// every started node asks its policy for an action; then, per radio
+// listening on channel c at node u, u hears a clear message from a
+// topology neighbor v iff v was the *only* neighbor of u transmitting on c
+// in that slot (collisions produce indistinguishable noise; nodes cannot
+// detect collisions).
+//
+// The paper's nodes have one transceiver: a SyncPolicy runs as a
+// one-radio MultiRadioPolicy. Several radios per node model the
+// multi-interface setting of related work [19] (bench E18): radios of one
+// node must be tuned to distinct channels, and a node transmitting on c
+// with any radio is a transmitter on c. With one radio per node both
+// overloads are the same engine.
 //
 // Variable start times (§III-B) are modeled by per-node start slots
 // (EngineCommon::starts): before its start slot a node is silent and deaf;
@@ -34,7 +42,7 @@ namespace m2hew::sim {
 /// interference, indexed_reception, stop_when_complete, starts — see
 /// EngineCommon). `starts` entries are global slot indices.
 struct SlotEngineConfig : SlotEngineCommon {
-  /// Hard budget on global slots simulated.
+  /// Hard budget on global slots simulated; must be >= 1.
   std::uint64_t max_slots = 1'000'000;
   /// Optional observer invoked on every clear reception:
   /// (global slot, sender, receiver, channel).
@@ -48,9 +56,11 @@ struct SlotEngineResult {
   /// covered; meaningful only if complete.
   std::uint64_t completion_slot = 0;
   std::uint64_t slots_executed = 0;
-  /// Per-node slot counts by radio mode from the node's start slot on
-  /// (slots before a node starts are not radio activity and are not
-  /// counted, so activity[u].total() can be less than slots_executed).
+  /// Per-node slot counts by radio mode from the node's start slot on,
+  /// summed over the node's radios (slots before a node starts are not
+  /// radio activity and are not counted, so activity[u].total() can be
+  /// less than slots_executed × radio count). Suppressed transmissions
+  /// count as quiet.
   std::vector<RadioActivity> activity;
   DiscoveryState state;
   /// Fault-robustness metrics; RobustnessReport::enabled is false when the
@@ -59,6 +69,12 @@ struct SlotEngineResult {
 };
 
 /// Runs one trial. The factory is invoked once per node.
+[[nodiscard]] SlotEngineResult run_slot_engine(
+    const net::Network& network, const MultiRadioPolicyFactory& factory,
+    const SlotEngineConfig& config);
+
+/// Single-radio trial: each node's policy runs as a one-radio
+/// MultiRadioPolicy (same RNG draws, same feedback).
 [[nodiscard]] SlotEngineResult run_slot_engine(const net::Network& network,
                                                const SyncPolicyFactory& factory,
                                                const SlotEngineConfig& config);

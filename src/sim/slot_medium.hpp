@@ -1,10 +1,10 @@
-// The shared synchronous channel medium. Both slotted engines (single-
-// and multi-radio) answer the same per-slot question from §II: listener
-// u, tuned to channel c, hears sender v iff v is the UNIQUE in-neighbor
-// of u emitting on c whose arc to u carries c — otherwise u hears a
-// collision (two or more such senders) or silence (none). This class owns
-// that resolution once, in the two bit-identical strategies the engines
-// switch between (`EngineCommon::indexed_reception`):
+// The synchronous channel medium. The slot engine (at any radio count)
+// resolves the per-slot question from §II through it: listener u, tuned
+// to channel c, hears sender v iff v is the UNIQUE in-neighbor of u
+// emitting on c whose arc to u carries c — otherwise u hears a collision
+// (two or more such senders) or silence (none). This class owns that
+// resolution once, in the two bit-identical strategies the engine
+// switches between (`EngineCommon::indexed_reception`):
 //
 //   * indexed: one O(#transmitters) sweep per slot groups transmitters
 //     into per-channel buckets (allocated once, cleared through the

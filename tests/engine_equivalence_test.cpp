@@ -29,7 +29,6 @@
 #include "sim/async_engine.hpp"
 #include "sim/clock.hpp"
 #include "sim/fault_plan.hpp"
-#include "sim/multi_radio_engine.hpp"
 #include "sim/slot_engine.hpp"
 #include "util/rng.hpp"
 
@@ -420,7 +419,7 @@ TEST_P(EngineEquivalence, MultiRadioEpochScheduleIndexedMatchesReference) {
                                             assignment, seed);
   const net::Network& network = provider.union_network();
 
-  sim::MultiRadioEngineConfig config;
+  sim::SlotEngineConfig config;
   config.max_slots = 300;
   config.seed = seed;
   config.stop_when_complete = (seed % 2) != 0;
@@ -435,13 +434,13 @@ TEST_P(EngineEquivalence, MultiRadioEpochScheduleIndexedMatchesReference) {
   const sim::MultiRadioPolicyFactory factory =
       core::make_multi_radio_alg3(1 + static_cast<unsigned>(seed % 2), 8);
 
-  sim::MultiRadioEngineConfig indexed = config;
+  sim::SlotEngineConfig indexed = config;
   indexed.indexed_reception = true;
-  sim::MultiRadioEngineConfig reference = config;
+  sim::SlotEngineConfig reference = config;
   reference.indexed_reception = false;
 
-  const auto a = sim::run_multi_radio_engine(network, factory, indexed);
-  const auto b = sim::run_multi_radio_engine(network, factory, reference);
+  const auto a = sim::run_slot_engine(network, factory, indexed);
+  const auto b = sim::run_slot_engine(network, factory, reference);
 
   EXPECT_EQ(a.complete, b.complete);
   EXPECT_EQ(a.completion_slot, b.completion_slot);

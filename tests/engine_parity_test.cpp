@@ -1,30 +1,28 @@
-// Engine-parity property test: the multi-radio engine restricted to one
-// radio per node IS the slot engine.
+// Engine-parity property test: multi-radio Algorithm 3 restricted to one
+// radio per node IS Algorithm 3.
 //
-// Both engines now share the channel-medium core (EngineCommon config,
-// TrialSetup seeding, SlotMedium resolution), so running
-// run_multi_radio_engine over core::as_multi_radio(factory) must be
-// *bit-identical* to run_slot_engine over `factory` — same DiscoveryState
+// There is one slotted engine; a SyncPolicy runs on it as a one-radio
+// MultiRadioPolicy. The one contract left with two implementations is the
+// policy pair: core::make_multi_radio_alg3(1, Δ) and core::make_algorithm3(Δ)
+// must be *bit-identical* through run_slot_engine — same DiscoveryState
 // (including first-coverage times), same activity counters, same
-// completion slot — for any topology, channel assignment, policy, loss
-// rate, interference schedule, start pattern and seed, on both the
-// indexed and the reference reception paths.
+// completion slot, same robustness report — for any topology, channel
+// assignment, loss rate, interference schedule, start pattern, fault
+// plan, adversary mix and seed, on both the indexed and the reference
+// reception paths.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <vector>
 
-#include "core/adaptive.hpp"
 #include "core/algorithms.hpp"
 #include "core/multi_radio.hpp"
-#include "core/termination.hpp"
 #include "net/channel_assign.hpp"
 #include "net/primary_user.hpp"
 #include "net/propagation.hpp"
 #include "net/topology_gen.hpp"
 #include "sim/fault_plan.hpp"
-#include "sim/multi_radio_engine.hpp"
 #include "sim/slot_engine.hpp"
 #include "util/rng.hpp"
 
@@ -62,9 +60,8 @@ namespace {
 }
 
 // Randomized fault plan (same recipe as the engine-equivalence test):
-// churn, burst loss and scheduled spectrum faults mixed in by seed bits.
-// Parity must hold with ANY plan attached — the plan lives in the shared
-// SlotEngineCommon slice, so the assignment below carries it over.
+// churn, burst loss, scheduled spectrum faults and adversaries mixed in
+// by seed bits. Parity must hold with ANY plan attached.
 [[nodiscard]] sim::SlotFaultPlan make_fault_plan(std::uint64_t seed,
                                                  net::NodeId n,
                                                  double horizon) {
@@ -143,53 +140,30 @@ TEST_P(EngineParity, SingleRadioMatchesSlotEngine) {
   const net::Network network = random_network(
       rng, seed, n, /*asymmetric=*/(seed % 2) != 0, /*masked=*/(seed % 3) == 0);
 
-  sim::SlotEngineConfig slot_config;
-  slot_config.max_slots = 400;
-  slot_config.seed = seed;
-  slot_config.stop_when_complete = (seed % 2) != 0;
-  slot_config.indexed_reception = (seed % 2) == 0;
-  slot_config.loss_probability = (seed % 3 == 1) ? 0.25 : 0.0;
+  sim::SlotEngineConfig config;
+  config.max_slots = 400;
+  config.seed = seed;
+  config.stop_when_complete = (seed % 2) != 0;
+  config.indexed_reception = (seed % 2) == 0;
+  config.loss_probability = (seed % 3 == 1) ? 0.25 : 0.0;
   if (seed % 2 == 0) {
-    slot_config.interference = [](std::uint64_t slot, net::NodeId node,
-                                  net::ChannelId c) {
+    config.interference = [](std::uint64_t slot, net::NodeId node,
+                             net::ChannelId c) {
       return pseudo_pu(slot, node, c);
     };
   }
-  slot_config.starts.assign(n, 0);
-  for (auto& s : slot_config.starts) s = rng.uniform(25);
-  slot_config.faults = make_fault_plan(seed, n, 400.0);
-  if (slot_config.faults.burst_loss.enabled) {
-    slot_config.loss_probability = 0.0;
+  config.starts.assign(n, 0);
+  for (auto& s : config.starts) s = rng.uniform(25);
+  config.faults = make_fault_plan(seed, n, 400.0);
+  if (config.faults.burst_loss.enabled) {
+    config.loss_probability = 0.0;
   }
 
-  sim::SyncPolicyFactory factory;
-  switch (seed % 4) {
-    case 0:
-      factory = core::make_algorithm1(16);
-      break;
-    case 1:
-      factory = core::make_algorithm2();
-      break;
-    case 2:
-      factory = core::make_algorithm3(8);
-      break;
-    default:
-      // Feedback-driven policy under a wrapper: proves the adapter
-      // forwards observe_listen_outcome / observe_reception faithfully
-      // (a forwarding bug would desynchronize the policies' actions).
-      factory = core::with_termination(core::make_adaptive(), 60);
-      break;
-  }
-
-  // The multi-radio config carries the identical shared knobs; the slices
-  // copy exactly because both inherit SlotEngineCommon.
-  sim::MultiRadioEngineConfig multi_config;
-  static_cast<sim::SlotEngineCommon&>(multi_config) = slot_config;
-  multi_config.max_slots = slot_config.max_slots;
-
-  const auto single = sim::run_slot_engine(network, factory, slot_config);
-  const auto multi = sim::run_multi_radio_engine(
-      network, core::as_multi_radio(factory), multi_config);
+  const std::size_t delta_est = 4 + 4 * (seed % 3);
+  const auto single =
+      sim::run_slot_engine(network, core::make_algorithm3(delta_est), config);
+  const auto multi = sim::run_slot_engine(
+      network, core::make_multi_radio_alg3(1, delta_est), config);
 
   EXPECT_EQ(single.complete, multi.complete);
   EXPECT_EQ(single.completion_slot, multi.completion_slot);
@@ -205,6 +179,12 @@ TEST_P(EngineParity, SingleRadioMatchesSlotEngine) {
             multi.robustness.rediscovered_links);
   EXPECT_DOUBLE_EQ(single.robustness.mean_rediscovery,
                    multi.robustness.mean_rediscovery);
+  EXPECT_EQ(single.robustness.adversary, multi.robustness.adversary);
+  EXPECT_EQ(single.robustness.fake_entries, multi.robustness.fake_entries);
+  EXPECT_EQ(single.robustness.isolated_fakes,
+            multi.robustness.isolated_fakes);
+  EXPECT_EQ(single.robustness.honest_isolated,
+            multi.robustness.honest_isolated);
   ASSERT_EQ(single.activity.size(), multi.activity.size());
   for (std::size_t u = 0; u < single.activity.size(); ++u) {
     EXPECT_EQ(single.activity[u].transmit, multi.activity[u].transmit)

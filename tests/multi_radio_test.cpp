@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/algorithms.hpp"
 #include "net/topology_gen.hpp"
@@ -19,10 +22,10 @@ class ScriptedMultiPolicy final : public sim::MultiRadioPolicy {
   explicit ScriptedMultiPolicy(
       std::vector<std::vector<sim::SlotAction>> script)
       : script_(std::move(script)) {}
-  std::vector<sim::SlotAction> next_slot(util::Rng&) override {
+  void next_slot(util::Rng&, std::span<sim::SlotAction> actions) override {
     const auto& step = script_[std::min(index_, script_.size() - 1)];
     ++index_;
-    return step;
+    std::copy(step.begin(), step.end(), actions.begin());
   }
   unsigned radio_count() const override {
     return static_cast<unsigned>(script_.front().size());
@@ -60,10 +63,10 @@ TEST(MultiRadioEngine, ParallelReceptionOnTwoChannels) {
   // both: the link (0,1) is covered in slot 0 via either radio, and node
   // 1's radios do not interfere with each other.
   const net::Network network = pair_net();
-  sim::MultiRadioEngineConfig config;
+  sim::SlotEngineConfig config;
   config.max_slots = 1;
   config.stop_when_complete = false;
-  const auto result = sim::run_multi_radio_engine(
+  const auto result = sim::run_slot_engine(
       network, scripted({{{kTx0, kTx1}}, {{kRx0, kRx1}}}), config);
   EXPECT_TRUE(result.state.is_covered({0, 1}));
 }
@@ -73,10 +76,10 @@ TEST(MultiRadioEngine, SimultaneousBidirectionalDiscovery) {
   // listens on the other — both directions covered in a single slot,
   // impossible with one transceiver.
   const net::Network network = pair_net();
-  sim::MultiRadioEngineConfig config;
+  sim::SlotEngineConfig config;
   config.max_slots = 1;
   config.stop_when_complete = false;
-  const auto result = sim::run_multi_radio_engine(
+  const auto result = sim::run_slot_engine(
       network, scripted({{{kTx0, kRx1}}, {{kRx0, kTx1}}}), config);
   EXPECT_TRUE(result.state.is_covered({0, 1}));
   EXPECT_TRUE(result.state.is_covered({1, 0}));
@@ -90,11 +93,11 @@ TEST(MultiRadioEngine, CollisionsAcrossSendersStillHappen) {
   const net::Network network(
       std::move(t),
       std::vector<net::ChannelSet>(3, net::ChannelSet(2, {0, 1})));
-  sim::MultiRadioEngineConfig config;
+  sim::SlotEngineConfig config;
   config.max_slots = 1;
   config.stop_when_complete = false;
   // Both neighbors transmit on channel 0 while the hub listens there.
-  const auto result = sim::run_multi_radio_engine(
+  const auto result = sim::run_slot_engine(
       network,
       scripted({{{kRx0, kQuiet}}, {{kTx0, kQuiet}}, {{kTx0, kQuiet}}}),
       config);
@@ -103,10 +106,10 @@ TEST(MultiRadioEngine, CollisionsAcrossSendersStillHappen) {
 
 TEST(MultiRadioEngineDeath, DuplicateChannelAcrossRadiosAborts) {
   const net::Network network = pair_net();
-  sim::MultiRadioEngineConfig config;
+  sim::SlotEngineConfig config;
   config.max_slots = 1;
   EXPECT_DEATH(
-      (void)sim::run_multi_radio_engine(
+      (void)sim::run_slot_engine(
           network, scripted({{{kTx0, kRx0}}, {{kRx1, kQuiet}}}), config),
       "CHECK failed");
 }
@@ -129,9 +132,11 @@ TEST(MultiRadioAlg3Policy, EmptyStripeStaysQuiet) {
   core::MultiRadioAlg3Policy policy(a, 2, 4);
   EXPECT_TRUE(policy.stripe(1).empty());
   util::Rng rng(1);
+  // Stale entries in the caller-owned buffer: the policy must overwrite
+  // every radio, quiet ones included.
+  std::vector<sim::SlotAction> actions(2, {sim::Mode::kTransmit, 6});
   for (int i = 0; i < 200; ++i) {
-    const auto actions = policy.next_slot(rng);
-    ASSERT_EQ(actions.size(), 2u);
+    policy.next_slot(rng, actions);
     EXPECT_EQ(actions[1].mode, sim::Mode::kQuiet);
     EXPECT_NE(actions[0].mode, sim::Mode::kQuiet);
     EXPECT_EQ(actions[0].channel % 2, 0u);
@@ -144,8 +149,9 @@ TEST(MultiRadioAlg3Policy, SingleRadioEqualsAlgorithm3Distribution) {
   util::Rng rng(2);
   int tx = 0;
   constexpr int kSlots = 40000;
+  std::vector<sim::SlotAction> actions(1);
   for (int i = 0; i < kSlots; ++i) {
-    const auto actions = policy.next_slot(rng);
+    policy.next_slot(rng, actions);
     if (actions[0].mode == sim::Mode::kTransmit) ++tx;
   }
   // p = min(1/2, 4/16) = 0.25, the Algorithm 3 value.
@@ -156,10 +162,10 @@ TEST(MultiRadioIntegration, DiscoversAndMatchesGroundTruth) {
   const net::Network network(
       net::make_clique(8),
       std::vector<net::ChannelSet>(8, net::ChannelSet::full(8)));
-  sim::MultiRadioEngineConfig config;
+  sim::SlotEngineConfig config;
   config.max_slots = 500000;
   config.seed = 3;
-  const auto result = sim::run_multi_radio_engine(
+  const auto result = sim::run_slot_engine(
       network, core::make_multi_radio_alg3(4, 8), config);
   ASSERT_TRUE(result.complete);
   for (net::NodeId u = 0; u < network.node_count(); ++u) {
@@ -174,10 +180,10 @@ TEST(MultiRadioIntegration, MoreRadiosAreFaster) {
   auto mean_slots = [&](unsigned radios) {
     util::RunningStats stats;
     for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-      sim::MultiRadioEngineConfig config;
+      sim::SlotEngineConfig config;
       config.max_slots = 1'000'000;
       config.seed = seed;
-      const auto result = sim::run_multi_radio_engine(
+      const auto result = sim::run_slot_engine(
           network, core::make_multi_radio_alg3(radios, 10), config);
       EXPECT_TRUE(result.complete);
       stats.add(static_cast<double>(result.completion_slot));
@@ -201,24 +207,24 @@ TEST(MultiRadioEngineDeath, InvalidConfigAborts) {
   const net::Network network = pair_net();
   const auto factory = scripted({{{kTx0, kQuiet}}, {{kRx0, kQuiet}}});
   {
-    sim::MultiRadioEngineConfig config;
+    sim::SlotEngineConfig config;
     config.loss_probability = 1.0;  // would loop forever; [0,1) only
     EXPECT_DEATH(
-        (void)sim::run_multi_radio_engine(network, factory, config),
+        (void)sim::run_slot_engine(network, factory, config),
         "CHECK failed");
   }
   {
-    sim::MultiRadioEngineConfig config;
+    sim::SlotEngineConfig config;
     config.starts = {0, 0, 0};  // 3 entries for a 2-node network
     EXPECT_DEATH(
-        (void)sim::run_multi_radio_engine(network, factory, config),
+        (void)sim::run_slot_engine(network, factory, config),
         "CHECK failed");
   }
   {
-    sim::MultiRadioEngineConfig config;
+    sim::SlotEngineConfig config;
     config.max_slots = 0;
     EXPECT_DEATH(
-        (void)sim::run_multi_radio_engine(network, factory, config),
+        (void)sim::run_slot_engine(network, factory, config),
         "CHECK failed");
   }
 }
@@ -230,15 +236,15 @@ TEST(MultiRadioEngine, MessageLossDropsSomeReceptions) {
   // extreme is 2^-2000).
   const net::Network network = pair_net();
   const auto factory = scripted({{{kTx0, kQuiet}}, {{kRx0, kQuiet}}});
-  sim::MultiRadioEngineConfig config;
+  sim::SlotEngineConfig config;
   config.max_slots = 2000;
   config.stop_when_complete = false;
 
-  const auto reliable = sim::run_multi_radio_engine(network, factory, config);
+  const auto reliable = sim::run_slot_engine(network, factory, config);
   EXPECT_EQ(reliable.state.reception_count(), 2000u);
 
   config.loss_probability = 0.5;
-  const auto lossy = sim::run_multi_radio_engine(network, factory, config);
+  const auto lossy = sim::run_slot_engine(network, factory, config);
   EXPECT_GT(lossy.state.reception_count(), 0u);
   EXPECT_LT(lossy.state.reception_count(), 2000u);
   EXPECT_TRUE(lossy.state.is_covered({0, 1}));
@@ -249,13 +255,13 @@ TEST(MultiRadioEngine, TransmitterSideInterferenceSuppresses) {
   // quiet) and nothing is delivered.
   const net::Network network = pair_net();
   const auto factory = scripted({{{kTx0, kQuiet}}, {{kRx0, kQuiet}}});
-  sim::MultiRadioEngineConfig config;
+  sim::SlotEngineConfig config;
   config.max_slots = 5;
   config.stop_when_complete = false;
   config.interference = [](std::uint64_t, net::NodeId node, net::ChannelId) {
     return node == 0;  // PU active at the transmitter only
   };
-  const auto result = sim::run_multi_radio_engine(network, factory, config);
+  const auto result = sim::run_slot_engine(network, factory, config);
   EXPECT_EQ(result.state.covered_links(), 0u);
   EXPECT_EQ(result.activity[0].transmit, 0u);
   EXPECT_EQ(result.activity[0].quiet, 10u);  // both radios, 5 slots
@@ -266,13 +272,13 @@ TEST(MultiRadioEngine, ListenerSideInterferenceDrownsChannel) {
   // count as transmit) but the listener hears only noise.
   const net::Network network = pair_net();
   const auto factory = scripted({{{kTx0, kQuiet}}, {{kRx0, kQuiet}}});
-  sim::MultiRadioEngineConfig config;
+  sim::SlotEngineConfig config;
   config.max_slots = 5;
   config.stop_when_complete = false;
   config.interference = [](std::uint64_t, net::NodeId node, net::ChannelId) {
     return node == 1;
   };
-  const auto result = sim::run_multi_radio_engine(network, factory, config);
+  const auto result = sim::run_slot_engine(network, factory, config);
   EXPECT_EQ(result.state.covered_links(), 0u);
   EXPECT_EQ(result.activity[0].transmit, 5u);
 }
@@ -282,11 +288,11 @@ TEST(MultiRadioEngine, StartScheduleGatesPollingAndActivity) {
   // node 1) and its radios are off (no activity counted).
   const net::Network network = pair_net();
   const auto factory = scripted({{{kTx0, kQuiet}}, {{kRx0, kQuiet}}});
-  sim::MultiRadioEngineConfig config;
+  sim::SlotEngineConfig config;
   config.max_slots = 10;
   config.stop_when_complete = false;
   config.starts = {3, 0};
-  const auto result = sim::run_multi_radio_engine(network, factory, config);
+  const auto result = sim::run_slot_engine(network, factory, config);
   ASSERT_TRUE(result.state.is_covered({0, 1}));
   EXPECT_DOUBLE_EQ(result.state.first_coverage_time({0, 1}), 3.0);
   EXPECT_EQ(result.state.reception_count(), 7u);
@@ -306,8 +312,8 @@ class ProbeMultiPolicy final : public sim::MultiRadioPolicy {
                    std::shared_ptr<Feedback> feedback)
       : actions_(std::move(actions)), feedback_(std::move(feedback)) {}
 
-  std::vector<sim::SlotAction> next_slot(util::Rng&) override {
-    return actions_;
+  void next_slot(util::Rng&, std::span<sim::SlotAction> actions) override {
+    std::copy(actions_.begin(), actions_.end(), actions.begin());
   }
   unsigned radio_count() const override {
     return static_cast<unsigned>(actions_.size());
@@ -342,10 +348,10 @@ TEST(MultiRadioEngine, FeedbackCarriesRadioIndex) {
     return std::make_unique<ProbeMultiPolicy>(
         std::vector<sim::SlotAction>{kRx0, kRx1}, feedback);
   };
-  sim::MultiRadioEngineConfig config;
+  sim::SlotEngineConfig config;
   config.max_slots = 1;
   config.stop_when_complete = false;
-  const auto result = sim::run_multi_radio_engine(network, factory, config);
+  const auto result = sim::run_slot_engine(network, factory, config);
   EXPECT_TRUE(result.state.is_covered({0, 1}));
   ASSERT_EQ(feedback->receptions.size(), 1u);
   EXPECT_EQ(feedback->receptions[0], (std::pair<unsigned, net::NodeId>{0, 0}));
@@ -360,12 +366,12 @@ TEST(MultiRadioEngine, FeedbackCarriesRadioIndex) {
 
 TEST(MultiRadioEngine, IndexedMatchesReferenceWithManyRadios) {
   // The indexed/reference bit-identity contract must hold for R > 1 too
-  // (the single-radio case is covered by the engine-parity test).
+  // (the single-radio case is covered by engine_equivalence_test).
   const net::Network network(
       net::make_clique(8),
       std::vector<net::ChannelSet>(8, net::ChannelSet::full(8)));
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    sim::MultiRadioEngineConfig config;
+    sim::SlotEngineConfig config;
     config.max_slots = 3000;
     config.seed = seed;
     config.loss_probability = 0.2;
@@ -374,12 +380,12 @@ TEST(MultiRadioEngine, IndexedMatchesReferenceWithManyRadios) {
                              net::ChannelId c) {
       return (slot + node + c) % 5 == 0;
     };
-    sim::MultiRadioEngineConfig reference = config;
+    sim::SlotEngineConfig reference = config;
     reference.indexed_reception = false;
 
-    const auto a = sim::run_multi_radio_engine(
+    const auto a = sim::run_slot_engine(
         network, core::make_multi_radio_alg3(3, 8), config);
-    const auto b = sim::run_multi_radio_engine(
+    const auto b = sim::run_slot_engine(
         network, core::make_multi_radio_alg3(3, 8), reference);
     EXPECT_EQ(a.complete, b.complete);
     EXPECT_EQ(a.completion_slot, b.completion_slot);
@@ -398,15 +404,15 @@ TEST(MultiRadioTrials, RunnerIsDeterministicAcrossThreadCounts) {
   const net::Network network(
       net::make_clique(6),
       std::vector<net::ChannelSet>(6, net::ChannelSet::full(6)));
-  runner::MultiRadioTrialConfig config;
+  runner::SyncTrialConfig config;
   config.trials = 8;
   config.seed = 7;
   config.engine.max_slots = 200000;
   config.threads = 1;
-  const auto serial = runner::run_multi_radio_trials(
+  const auto serial = runner::run_sync_trials(
       network, core::make_multi_radio_alg3(2, 6), config);
   config.threads = 4;
-  const auto parallel = runner::run_multi_radio_trials(
+  const auto parallel = runner::run_sync_trials(
       network, core::make_multi_radio_alg3(2, 6), config);
   EXPECT_EQ(serial.completed, parallel.completed);
   ASSERT_EQ(serial.completion_slots.values().size(),

@@ -68,6 +68,7 @@ TEST(SweepSpec, RejectsBadInput) {
   EXPECT_NE(parse_error_of("[experiment]\nalgorithm = alg9\n"), "");
   EXPECT_NE(parse_error_of("[experiment]\ntrials = 0\n"), "");
   EXPECT_NE(parse_error_of("[experiment]\ntrials = many\n"), "");
+  EXPECT_NE(parse_error_of("[experiment]\nmax-slots = 0\n"), "");
   EXPECT_NE(parse_error_of("[experiment]\nkernel = gpu\n"), "");
   EXPECT_NE(parse_error_of("[experiment]\nkernel = soa\n"
                            "algorithm = adaptive\n"),

@@ -8,12 +8,12 @@
 // Then the load-bearing equivalence: a *frozen* multi-epoch schedule
 // (speed 0, so every epoch carries the same link set) must be
 // bit-identical to running the plain static engine on a network built
-// from the same topology and assignment — across the slot, async and
-// multi-radio engines and the SoA kernel, with randomized fault plans,
-// loss, interference and start patterns. This proves the per-epoch
-// adjacency swap (and the SoA active-arc mask) is a pure filter: when it
-// filters nothing, nothing changes — the dynamic path costs no
-// correctness relative to the static one.
+// from the same topology and assignment — across the slot engine (one
+// and two radios per node), the async engine and the SoA kernel, with
+// randomized fault plans, loss, interference and start patterns. This
+// proves the per-epoch adjacency swap (and the SoA active-arc mask) is a
+// pure filter: when it filters nothing, nothing changes — the dynamic
+// path costs no correctness relative to the static one.
 #include "net/topology_provider.hpp"
 
 #include <gtest/gtest.h>
@@ -34,7 +34,6 @@
 #include "sim/async_engine.hpp"
 #include "sim/clock.hpp"
 #include "sim/fault_plan.hpp"
-#include "sim/multi_radio_engine.hpp"
 #include "sim/slot_engine.hpp"
 #include "sim/soa_kernel.hpp"
 #include "util/rng.hpp"
@@ -347,7 +346,7 @@ TEST_P(FrozenScheduleEquivalence, MultiRadioEngineMatchesStatic) {
   const FrozenFixture f = make_frozen(seed);
   util::Rng rng(seed ^ 0x3D);
 
-  sim::MultiRadioEngineConfig config;
+  sim::SlotEngineConfig config;
   config.max_slots = 300;
   config.seed = seed;
   config.stop_when_complete = (seed % 2) != 0;
@@ -360,14 +359,13 @@ TEST_P(FrozenScheduleEquivalence, MultiRadioEngineMatchesStatic) {
   const sim::MultiRadioPolicyFactory factory =
       core::make_multi_radio_alg3(2, 8);
 
-  sim::MultiRadioEngineConfig mobile = config;
+  sim::SlotEngineConfig mobile = config;
   mobile.topology = f.provider.get();
   mobile.epoch_length = f.epoch_length;
 
-  const auto a = sim::run_multi_radio_engine(f.provider->union_network(),
-                                             factory, mobile);
-  const auto b = sim::run_multi_radio_engine(*f.static_network, factory,
-                                             config);
+  const auto a =
+      sim::run_slot_engine(f.provider->union_network(), factory, mobile);
+  const auto b = sim::run_slot_engine(*f.static_network, factory, config);
 
   EXPECT_EQ(a.complete, b.complete);
   EXPECT_EQ(a.completion_slot, b.completion_slot);

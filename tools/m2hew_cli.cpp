@@ -64,7 +64,9 @@ Algorithm:
                               spelling; --algorithm wins when both given)
   --delta-est=<bound>         degree bound for alg1/alg3/alg4 (default 8)
   --terminate-after=<slots>   optional silence-based termination
-  --radios=<R>                multi-radio alg3 (R transceivers per node)
+  --radios=<R>                multi-radio alg3 (R transceivers per node;
+                              R > 1 takes no --terminate-after and needs
+                              --algorithm=alg3, --kernel=engine)
 
 Network I/O:
   --save-network=<path>       write the generated network and exit
@@ -366,22 +368,10 @@ void apply_fault_flags(const util::Flags& flags,
   return mobility;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::Flags flags(argc, argv);
-  // A malformed value (--duty-on=abc) is a usage error like any other
-  // flag-validation failure: one-line diagnostic, exit 2 — never a CHECK
-  // abort.
-  flags.on_parse_error([](const std::string& message) {
-    std::fprintf(stderr, "m2hew_cli: %s\n", message.c_str());
-    std::exit(2);
-  });
-  if (flags.has("help")) {
-    std::fputs(kUsage, stdout);
-    return 0;
-  }
-
+/// Everything after --help: validates the flags, builds the network, runs
+/// the trials and prints the report. Returns the process exit code; main()
+/// reports unknown flags after it on every path.
+[[nodiscard]] int run(const util::Flags& flags) {
   // Range-check every numeric knob up front (exit 2 with a one-line
   // diagnostic) so a typo'd flag cannot reach a CHECK deep in the engine.
   require_flag(flags.get_int("n", 16) >= 1, "--n must be >= 1");
@@ -448,6 +438,16 @@ int main(int argc, char** argv) {
   const std::string kernel = flags.get_string("kernel", "engine");
   require_flag(kernel == "engine" || kernel == "soa",
                "--kernel must be engine or soa");
+  // --radios > 1 runs multi-radio Algorithm 3 on the slot engine; flags
+  // that select anything else are rejected rather than silently ignored.
+  const auto radios = static_cast<unsigned>(flags.get_int("radios", 1));
+  require_flag(radios == 1 || algorithm == "alg3",
+               "--radios > 1 runs multi-radio alg3 only (--algorithm/--policy "
+               "must be alg3)");
+  require_flag(radios == 1 || terminate_after == 0,
+               "--radios > 1 does not support --terminate-after");
+  require_flag(radios == 1 || kernel == "engine",
+               "--radios > 1 requires --kernel=engine");
   const runner::MobilitySpec mobility = mobility_from_flags(flags);
   // SoA check first, so --kernel=soa with a duty cycle gets the message
   // naming every flag involved whether or not --mobility was given.
@@ -462,7 +462,7 @@ int main(int argc, char** argv) {
                "objects, not SoA policy tables)");
   require_flag(!trust.enabled || algorithm != "alg4",
                "--trust is slotted-only (alg4 runs on real time)");
-  require_flag(!trust.enabled || flags.get_int("radios", 1) == 1,
+  require_flag(!trust.enabled || radios == 1,
                "--trust supports single-radio runs only");
 
   std::string scenario_text;
@@ -478,7 +478,7 @@ int main(int argc, char** argv) {
                  "--mobility=rwp has no single link set to --save-network");
     require_flag(algorithm != "alg4",
                  "--mobility=rwp is slotted-only (alg4 runs on real time)");
-    require_flag(flags.get_int("radios", 1) == 1,
+    require_flag(radios == 1,
                  "--mobility=rwp supports single-radio runs only");
     const runner::ScenarioConfig scenario = scenario_from_flags(flags);
     require_flag(scenario.topology == runner::TopologyKind::kUnitDisk,
@@ -569,34 +569,6 @@ int main(int argc, char** argv) {
     report_throughput(stats);
   };
 
-  const auto radios = static_cast<unsigned>(flags.get_int("radios", 1));
-  if (radios > 1) {
-    // Multi-radio Algorithm 3 (extension; cf. related work [19]), through
-    // the same trial runner as the single-radio engines — so it shares
-    // the loss model, the worker pool and the bench run log.
-    runner::MultiRadioTrialConfig trial;
-    trial.trials = trials;
-    trial.seed = seed;
-    trial.threads = threads;
-    trial.engine.max_slots = static_cast<std::uint64_t>(
-        flags.get_int("max-slots", 10'000'000));
-    trial.engine.loss_probability = loss;
-    apply_fault_flags(flags, trial.engine.faults);
-    const auto stats = runner::run_multi_radio_trials(
-        network, core::make_multi_radio_alg3(radios, delta_est), trial);
-    const auto summary = stats.completion_slots.summarize();
-    table.row().cell("radios").cell(static_cast<std::size_t>(radios));
-    table.row().cell("trials").cell(stats.trials);
-    table.row().cell("completed").cell(stats.completed);
-    table.row().cell("success rate").cell(stats.success_rate(), 3);
-    table.row().cell("mean slots").cell(summary.mean, 1);
-    table.row().cell("max slots").cell(summary.max, 1);
-    report_throughput(stats);
-    std::printf("\n%s", table.render().c_str());
-    runner::print_robustness(stats.robustness);
-    return 0;
-  }
-
   runner::RobustnessStats robustness;
   runner::EncounterStats encounter_stats;
   if (algorithm == "alg4") {
@@ -660,12 +632,13 @@ int main(int argc, char** argv) {
       trial.encounters = &*encounter_index;
     }
 
+    runner::SyncTrialStats stats;
+    double bound = 0.0;
+    const char* bound_name = "bound";
     if (kernel == "soa") {
       // The SoA kernel consumes a policy-as-data table, so it covers
       // exactly the spec-representable algorithms.
       core::SyncPolicySpec spec;
-      double bound = 0.0;
-      const char* bound_name = "bound";
       if (algorithm == "alg1") {
         spec = core::SyncPolicySpec::algorithm1(delta_est);
         bound = core::theorem1_slot_bound(params);
@@ -696,69 +669,68 @@ int main(int argc, char** argv) {
       require_flag(terminate_after == 0,
                    "--terminate-after requires --kernel=engine");
       trial.kernel = runner::SyncKernel::kSoa;
-      const auto stats = runner::run_sync_trials(network, spec, trial);
-      report_sync(stats, bound, bound_name);
-      std::printf("\n%s", table.render().c_str());
-      runner::print_robustness(stats.robustness);
-      if (stats.encounters.enabled()) {
-        runner::print_encounters(stats.encounters);
-      }
-      return 0;
-    }
-
-    sim::SyncPolicyFactory factory;
-    double bound = 0.0;
-    const char* bound_name = "bound";
-    if (algorithm == "alg1") {
-      factory = core::make_algorithm1(delta_est);
-      bound = core::theorem1_slot_bound(params);
-      bound_name = "thm1 slot bound";
-    } else if (algorithm == "alg2") {
-      factory = core::make_algorithm2();
-      bound = core::theorem2_slot_bound(params);
-      bound_name = "thm2 slot bound";
-    } else if (algorithm == "alg2x") {
-      factory = core::make_algorithm2(core::EstimateSchedule::kDouble);
-      bound = core::theorem2_slot_bound(params);
-      bound_name = "thm2 slot bound (d+=1 schedule)";
-    } else if (algorithm == "alg3") {
-      factory = core::make_algorithm3(delta_est);
+      stats = runner::run_sync_trials(network, spec, trial);
+    } else if (radios > 1) {
+      // Multi-radio Algorithm 3 (extension; cf. related work [19]) on the
+      // same slot engine and trial runner as every single-radio policy.
+      table.row().cell("radios").cell(static_cast<std::size_t>(radios));
+      stats = runner::run_sync_trials(
+          network, core::make_multi_radio_alg3(radios, delta_est), trial);
       bound = core::theorem3_slot_bound(params);
-      bound_name = "thm3 slot bound";
-    } else if (algorithm == "baseline") {
-      factory = core::make_universal_baseline(network.universe_size(), 0.5);
-      bound_name = "(no closed-form bound)";
-    } else if (algorithm == "deterministic") {
-      factory = core::make_deterministic_baseline(network.universe_size());
-      bound = static_cast<double>(network.node_count()) *
-              network.universe_size();
-      bound_name = "N x |U| sweep (deterministic guarantee)";
-    } else if (algorithm == "adaptive") {
-      factory = core::make_adaptive();
-      bound_name = "(adaptive; no closed-form bound)";
-    } else if (algorithm == "mcdis") {
-      factory = core::make_mcdis();
-      bound_name = "(competitor Mc-Dis; no closed-form bound)";
-    } else if (algorithm == "rendezvous") {
-      factory = core::make_blind_rendezvous();
-      bound_name = "(competitor jump-stay; no closed-form bound)";
-    } else if (algorithm == "consistent-hop") {
-      factory = core::make_consistent_hop();
-      bound_name = "(competitor hop; no closed-form bound)";
+      bound_name = "thm3 slot bound (one radio)";
     } else {
-      std::fprintf(stderr, "unknown --algorithm=%s\n", algorithm.c_str());
-      return 2;
+      sim::SyncPolicyFactory factory;
+      if (algorithm == "alg1") {
+        factory = core::make_algorithm1(delta_est);
+        bound = core::theorem1_slot_bound(params);
+        bound_name = "thm1 slot bound";
+      } else if (algorithm == "alg2") {
+        factory = core::make_algorithm2();
+        bound = core::theorem2_slot_bound(params);
+        bound_name = "thm2 slot bound";
+      } else if (algorithm == "alg2x") {
+        factory = core::make_algorithm2(core::EstimateSchedule::kDouble);
+        bound = core::theorem2_slot_bound(params);
+        bound_name = "thm2 slot bound (d+=1 schedule)";
+      } else if (algorithm == "alg3") {
+        factory = core::make_algorithm3(delta_est);
+        bound = core::theorem3_slot_bound(params);
+        bound_name = "thm3 slot bound";
+      } else if (algorithm == "baseline") {
+        factory = core::make_universal_baseline(network.universe_size(), 0.5);
+        bound_name = "(no closed-form bound)";
+      } else if (algorithm == "deterministic") {
+        factory = core::make_deterministic_baseline(network.universe_size());
+        bound = static_cast<double>(network.node_count()) *
+                network.universe_size();
+        bound_name = "N x |U| sweep (deterministic guarantee)";
+      } else if (algorithm == "adaptive") {
+        factory = core::make_adaptive();
+        bound_name = "(adaptive; no closed-form bound)";
+      } else if (algorithm == "mcdis") {
+        factory = core::make_mcdis();
+        bound_name = "(competitor Mc-Dis; no closed-form bound)";
+      } else if (algorithm == "rendezvous") {
+        factory = core::make_blind_rendezvous();
+        bound_name = "(competitor jump-stay; no closed-form bound)";
+      } else if (algorithm == "consistent-hop") {
+        factory = core::make_consistent_hop();
+        bound_name = "(competitor hop; no closed-form bound)";
+      } else {
+        std::fprintf(stderr, "unknown --algorithm=%s\n", algorithm.c_str());
+        return 2;
+      }
+      if (terminate_after > 0) {
+        factory = core::with_termination(std::move(factory), terminate_after);
+      }
+      if (mobility.enabled) {
+        factory = core::with_duty_cycle(std::move(factory), mobility.duty_on,
+                                        mobility.duty_period);
+      }
+      // Identity when --trust is off, so untrusted runs are untouched.
+      factory = core::with_trust(std::move(factory), trust);
+      stats = runner::run_sync_trials(network, factory, trial);
     }
-    if (terminate_after > 0) {
-      factory = core::with_termination(std::move(factory), terminate_after);
-    }
-    if (mobility.enabled) {
-      factory = core::with_duty_cycle(std::move(factory), mobility.duty_on,
-                                      mobility.duty_period);
-    }
-    // Identity when --trust is off, so untrusted runs are untouched.
-    factory = core::with_trust(std::move(factory), trust);
-    const auto stats = runner::run_sync_trials(network, factory, trial);
     report_sync(stats, bound, bound_name);
     robustness = stats.robustness;
     encounter_stats = stats.encounters;
@@ -767,13 +739,28 @@ int main(int argc, char** argv) {
   std::printf("\n%s", table.render().c_str());
   runner::print_robustness(robustness);
   if (encounter_stats.enabled()) runner::print_encounters(encounter_stats);
-
-  const auto leftovers = flags.unconsumed();
-  if (!leftovers.empty()) {
-    for (const auto& name : leftovers) {
-      std::fprintf(stderr, "warning: unknown flag --%s ignored\n",
-                   name.c_str());
-    }
-  }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  util::Flags flags(argc, argv);
+  // A malformed value (--duty-on=abc) is a usage error like any other
+  // flag-validation failure: one-line diagnostic, exit 2 — never a CHECK
+  // abort.
+  flags.on_parse_error([](const std::string& message) {
+    std::fprintf(stderr, "m2hew_cli: %s\n", message.c_str());
+    std::exit(2);
+  });
+  if (flags.has("help")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
+  const int code = run(flags);
+  for (const auto& name : flags.unconsumed()) {
+    std::fprintf(stderr, "warning: unknown flag --%s ignored\n",
+                 name.c_str());
+  }
+  return code;
 }

@@ -132,6 +132,10 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(ini.get_int("experiment", "threads", 0));
   const auto seed =
       static_cast<std::uint64_t>(ini.get_int("experiment", "seed", 1));
+  if (ini.get_int("experiment", "max-slots", 1'000'000) < 1) {
+    std::fprintf(stderr, "[experiment] max-slots must be >= 1\n");
+    return 2;
+  }
   const auto max_slots = static_cast<std::uint64_t>(
       ini.get_int("experiment", "max-slots", 1'000'000));
   const std::string sweep_key = ini.get("experiment", "sweep-key");

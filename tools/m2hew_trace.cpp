@@ -64,6 +64,10 @@ int main(int argc, char** argv) {
   }
 
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  if (flags.get_int("slots", 40) < 1) {
+    std::fprintf(stderr, "--slots must be >= 1\n");
+    return 2;
+  }
   const auto slots = static_cast<std::uint64_t>(flags.get_int("slots", 40));
   const auto delta_est =
       static_cast<std::size_t>(flags.get_int("delta-est", 8));
