@@ -73,6 +73,19 @@ constexpr double kMeanDegree = 6.0;
   return core::SyncPolicySpec::algorithm3(kDeltaEst);
 }
 
+// Mean completion slot over the completed trials; 0 only when none
+// completed.
+[[nodiscard]] double mean_completion_slot(const runner::SyncTrialStats& s) {
+  return s.completed == 0 ? 0.0 : s.completion_slots.summarize().mean;
+}
+
+// ROADMAP's headline unit: wall time over N × slots executed (all trials).
+[[nodiscard]] double ns_per_node_slot(double elapsed_s, std::uint64_t n,
+                                      double slots_executed) {
+  const double node_slots = static_cast<double>(n) * slots_executed;
+  return node_slots <= 0.0 ? 0.0 : elapsed_s * 1e9 / node_slots;
+}
+
 // Timed section: fixed-slot kernel runs at a mid-size N (the full curve is
 // the reproduction section's job; benchmark timing stays CI-friendly).
 void BM_SoaKernelSlots(benchmark::State& state) {
@@ -107,11 +120,12 @@ void reproduce_table() {
   auto csv_file = runner::open_results_csv("e22_soa_scaling");
   util::CsvWriter csv(csv_file);
   csv.header({"family", "n", "mode", "slots", "trials", "completed",
-              "mean_completion_slot", "elapsed_s", "slots_per_s"});
+              "mean_completion_slot", "elapsed_s", "slots_per_s",
+              "ns_per_node_slot"});
 
   const std::uint64_t cap = max_sweep_n();
-  util::Table table(
-      {"family", "N", "mode", "slots/run", "completed", "slots/sec"});
+  util::Table table({"family", "N", "mode", "slots/run", "completed",
+                     "slots/sec", "ns/node-slot"});
 
   // 1. Fixed-slot throughput curve. The slot budget shrinks with N so
   // every point does comparable total work (~2e7 node-slots minimum).
@@ -138,9 +152,15 @@ void reproduce_table() {
           stats.elapsed_seconds <= 0.0
               ? 0.0
               : static_cast<double>(slots) / stats.elapsed_seconds;
+      // A curve trial runs its full budget (stop_when_complete is off);
+      // its completion slot is still recorded.
+      const double mean_slot = mean_completion_slot(stats);
+      const double ns = ns_per_node_slot(
+          stats.elapsed_seconds, n, static_cast<double>(slots) *
+                                        static_cast<double>(stats.trials));
       csv.field(family).field(n).field("curve").field(slots);
-      csv.field(stats.trials).field(stats.completed).field(0.0);
-      csv.field(stats.elapsed_seconds).field(slots_per_s);
+      csv.field(stats.trials).field(stats.completed).field(mean_slot);
+      csv.field(stats.elapsed_seconds).field(slots_per_s).field(ns);
       csv.end_row();
       table.row()
           .cell(family)
@@ -148,7 +168,8 @@ void reproduce_table() {
           .cell("curve")
           .cell(static_cast<std::size_t>(slots))
           .cell(stats.completed)
-          .cell(slots_per_s, 0);
+          .cell(slots_per_s, 0)
+          .cell(ns, 1);
     }
   }
 
@@ -172,8 +193,7 @@ void reproduce_table() {
     benchx::report_throughput(family.c_str(), stats);
     completion_ok = completion_ok && stats.completed == stats.trials;
 
-    const double mean_slot =
-        stats.completed == 0 ? 0.0 : stats.completion_slots.summarize().mean;
+    const double mean_slot = mean_completion_slot(stats);
     // Slots executed per run: a completed trial stops after its covering
     // slot (index completion_slot), an incomplete one runs the budget.
     const double mean_executed =
@@ -186,10 +206,13 @@ void reproduce_table() {
             ? 0.0
             : mean_executed * static_cast<double>(stats.trials) /
                   stats.elapsed_seconds;
+    const double ns = ns_per_node_slot(
+        stats.elapsed_seconds, completion_n,
+        mean_executed * static_cast<double>(stats.trials));
     csv.field(family).field(completion_n).field("completion");
     csv.field(mean_executed);
     csv.field(stats.trials).field(stats.completed).field(mean_slot);
-    csv.field(stats.elapsed_seconds).field(slots_per_s);
+    csv.field(stats.elapsed_seconds).field(slots_per_s).field(ns);
     csv.end_row();
     table.row()
         .cell(family)
@@ -197,7 +220,8 @@ void reproduce_table() {
         .cell("completion")
         .cell(mean_executed, 1)
         .cell(stats.completed)
-        .cell(slots_per_s, 0);
+        .cell(slots_per_s, 0)
+        .cell(ns, 1);
   }
 
   std::printf("\n%s\n", table.render().c_str());

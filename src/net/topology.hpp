@@ -72,6 +72,17 @@ class Topology {
     return in_adj_;
   }
 
+  /// The out-CSR (requires finalize()): the arcs out of u are out_targets()
+  /// [out_offsets()[u] .. out_offsets()[u + 1]), targets ascending.
+  [[nodiscard]] std::span<const std::size_t> out_offsets() const noexcept {
+    M2HEW_DCHECK(finalized_);
+    return out_off_;
+  }
+  [[nodiscard]] std::span<const NodeId> out_targets() const noexcept {
+    M2HEW_DCHECK(finalized_);
+    return out_adj_;
+  }
+
   /// Degree queries require finalize().
   [[nodiscard]] std::size_t out_degree(NodeId u) const {
     return out_neighbors(u).size();

@@ -43,11 +43,11 @@ struct EngineCommon {
   /// is reported to the listener as silence (signal below sensitivity).
   double loss_probability = 0.0;
 
-  /// Optional dynamic primary-user interference, queried per
-  /// (time, node, channel). While active at a node on a channel: the
-  /// node's transmissions there are suppressed (spectrum sensing vacates
-  /// the channel) and listening there yields kCollision (PU noise). Null
-  /// = no external interference. Must be deterministic.
+  /// Optional PU interference per (time, node, channel): while active, the
+  /// node's transmissions there vacate and listening yields kCollision.
+  /// Null = none. Must be pure (deterministic, no side effects): the SoA
+  /// kernel queries it only for transmitters and for listeners a co-channel
+  /// transmitter reaches, so its call count is not part of the contract.
   std::function<bool(Time, net::NodeId, net::ChannelId)> interference;
 
   /// Reception-resolution strategy. true (default): resolve through the

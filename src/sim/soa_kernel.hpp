@@ -14,6 +14,14 @@
 //     span table (borrowed, not copied), one shift/mask per probe;
 //   * CSR coverage    — covered/first-slot live per in-CSR arc position,
 //     with no neighbor tables;
+//   * transmitter-push reception — one fused per-node pass (action draw,
+//     interference vacate, activity accounting) sets the slot's
+//     transmitters in an N-bit set; each walks its out-row and marks the
+//     out-neighbors listening on its channel in a second N-bit set; only
+//     the marked listeners run the reference in-CSR scan, in ascending
+//     order. A slot costs O(N) for the pass plus Σ out-degree over
+//     transmitters plus Σ in-degree over marked listeners, instead of
+//     Σ in-degree over every listener;
 //   * per-trial arena — every array is sized at construction and reused
 //     across run() calls; steady-state slots allocate nothing.
 //
@@ -22,7 +30,10 @@
 // completion flag/slot, per-node activity, per-link first-coverage slots
 // and robustness report as run_slot_engine with the spec's oracle factory
 // (policies draw channel-then-coin from the same per-node streams; losses
-// draw in listener order from the same loss stream). The randomized
+// draw in listener order from the same loss stream; an unmarked listener
+// would find no sender and draw nothing). EngineCommon::interference must be
+// pure: the kernel queries it only for transmitters and marked listeners,
+// so its call count differs from the engine's. The randomized
 // equivalence suite (tests/soa_kernel_test.cpp) enforces this, exactly as
 // indexed==reference reception was pinned before.
 #pragma once
@@ -97,14 +108,19 @@ class SoaSlotKernel {
   std::vector<net::ChannelId> avail_flat_;  // A(u) members, ascending
 
   // Per-trial state, sized once and reset at each run().
-  std::vector<Mode> mode_;
-  std::vector<net::ChannelId> channel_;
+  /// Per node: this slot's action, packed as channel << 2 | mode.
+  std::vector<std::uint32_t> action_;
   std::vector<std::uint32_t> slot_in_stage_;
   std::vector<std::uint32_t> stage_slots_;
   std::vector<std::uint64_t> estimate_;
   /// Consistent-hop channel law only: node-local active-slot clock
   /// (resets with the policy on churn recovery, like a fresh oracle).
   std::vector<std::uint64_t> hop_clock_;
+  /// Reception scratch, one bit per node each: the slot's surviving
+  /// transmitters, and the listeners they reach on their channel. The
+  /// push and the resolution leave both all-zero.
+  std::vector<std::uint64_t> transmitting_;
+  std::vector<std::uint64_t> marked_;
 
   /// Time-varying topology support (config.topology set): the kernel's
   /// CSR stays flattened from the UNION network; this per-arc byte mask

@@ -17,8 +17,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/channel_assign.hpp"
@@ -182,6 +184,69 @@ TEST(NetworkLayoutPin, UnitDiskArcOrderIsStable) {
   }
   EXPECT_EQ(t.arc_count(), 17464u);
   EXPECT_EQ(util::fnv1a64(bytes), 0xa3e996c28b8db354ULL);
+}
+
+// The out-CSR (what the SoA kernel's transmitter push walks) is the exact
+// transpose of the in-CSR: flattening either one and sorting by (from, to)
+// yields the same arc list, and each side's rows agree with the arc list.
+void expect_out_csr_is_transpose(const Topology& t) {
+  const NodeId n = t.node_count();
+  const auto out_off = t.out_offsets();
+  const auto out_dst = t.out_targets();
+  const auto in_off = t.in_offsets();
+  const auto in_src = t.in_sources();
+  ASSERT_EQ(out_off.size(), static_cast<std::size_t>(n) + 1);
+  ASSERT_EQ(out_off[0], 0u);
+  ASSERT_EQ(out_off[n], t.arc_count());
+  ASSERT_EQ(out_dst.size(), t.arc_count());
+
+  std::vector<std::pair<NodeId, NodeId>> from_out;
+  std::vector<std::pair<NodeId, NodeId>> from_in;
+  for (NodeId u = 0; u < n; ++u) {
+    ASSERT_LE(out_off[u], out_off[u + 1]);
+    const auto row = out_dst.subspan(out_off[u], out_off[u + 1] - out_off[u]);
+    ASSERT_TRUE(std::adjacent_find(row.begin(), row.end(),
+                                   std::greater_equal<>()) == row.end())
+        << "out-row of " << u << " not strictly ascending";
+    const auto neighbors = t.out_neighbors(u);
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), neighbors.begin(),
+                           neighbors.end()));
+    for (const NodeId v : row) from_out.emplace_back(u, v);
+    for (std::size_t arc = in_off[u]; arc < in_off[u + 1]; ++arc) {
+      from_in.emplace_back(in_src[arc], u);
+    }
+  }
+  std::sort(from_in.begin(), from_in.end());
+  std::vector<std::pair<NodeId, NodeId>> arcs(t.arcs().begin(),
+                                              t.arcs().end());
+  std::sort(arcs.begin(), arcs.end());
+  EXPECT_EQ(from_out, arcs);  // already (from, to)-sorted by construction
+  EXPECT_EQ(from_in, arcs);
+}
+
+TEST(TopologyCsr, OutCsrIsExactTransposeOfInCsr) {
+  util::Rng rng(14);
+  const Topology symmetric = unit_disk(500, rng);
+  ASSERT_TRUE(symmetric.is_symmetric());
+  expect_out_csr_is_transpose(symmetric);
+
+  const Topology asymmetric = make_asymmetric(symmetric, 0.4, rng);
+  ASSERT_FALSE(asymmetric.is_symmetric());
+  expect_out_csr_is_transpose(asymmetric);
+
+  // Isolated nodes at both ends and in the middle: empty rows on both
+  // sides, including the first and the last offset.
+  Topology isolated(12);
+  isolated.add_edge(1, 4);
+  isolated.add_arc(2, 9);
+  isolated.add_arc(9, 3);
+  isolated.add_edge(3, 10);
+  isolated.finalize();
+  for (const NodeId u : {NodeId{0}, NodeId{5}, NodeId{11}}) {
+    ASSERT_EQ(isolated.out_degree(u), 0u);
+    ASSERT_EQ(isolated.in_degree(u), 0u);
+  }
+  expect_out_csr_is_transpose(isolated);
 }
 
 // Mutating a finalized topology reopens it, and the next finalize()

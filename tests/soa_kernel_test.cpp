@@ -10,8 +10,11 @@
 // the indexed reception path to the reference scan.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "core/policy_spec.hpp"
@@ -181,21 +184,11 @@ void expect_same_robustness(const sim::RobustnessReport& a,
   EXPECT_DOUBLE_EQ(a.max_isolation, b.max_isolation);
 }
 
-class SoaKernelEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SoaKernelEquivalence, MatchesSlotEngineBitExactly) {
-  const std::uint64_t seed = GetParam() + soak_offset();
-  util::Rng rng(seed ^ 0x50A);
-  const auto n = static_cast<net::NodeId>(12 + 4 * (seed % 4));
-  const net::Network network = random_network(seed, n, rng);
-  const core::SyncPolicySpec spec = spec_for(seed);
-  const sim::SlotEngineConfig config = random_config(seed, n, rng);
-
-  const auto engine =
-      sim::run_slot_engine(network, core::make_policy_factory(spec), config);
-  const auto soa = sim::run_soa_slot_kernel(
-      network, core::build_soa_policy_table(network, spec), config);
-
+// Every observable of one trial: completion, per-node activity, per-link
+// coverage and first-coverage slots, and the robustness report.
+void expect_same_trial(const net::Network& network,
+                       const sim::SlotEngineResult& engine,
+                       const sim::SoaSlotKernelResult& soa) {
   EXPECT_EQ(engine.complete, soa.complete);
   EXPECT_EQ(engine.completion_slot, soa.completion_slot);
   EXPECT_EQ(engine.slots_executed, soa.slots_executed);
@@ -226,6 +219,23 @@ TEST_P(SoaKernelEquivalence, MatchesSlotEngineBitExactly) {
   }
 
   expect_same_robustness(engine.robustness, soa.robustness);
+}
+
+class SoaKernelEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SoaKernelEquivalence, MatchesSlotEngineBitExactly) {
+  const std::uint64_t seed = GetParam() + soak_offset();
+  util::Rng rng(seed ^ 0x50A);
+  const auto n = static_cast<net::NodeId>(12 + 4 * (seed % 4));
+  const net::Network network = random_network(seed, n, rng);
+  const core::SyncPolicySpec spec = spec_for(seed);
+  const sim::SlotEngineConfig config = random_config(seed, n, rng);
+
+  const auto engine =
+      sim::run_slot_engine(network, core::make_policy_factory(spec), config);
+  const auto soa = sim::run_soa_slot_kernel(
+      network, core::build_soa_policy_table(network, spec), config);
+  expect_same_trial(network, engine, soa);
 }
 
 // The dynamic-topology leg: under a moving epoch schedule the kernel
@@ -261,39 +271,97 @@ TEST_P(SoaKernelEquivalence, MatchesSlotEngineUnderEpochSchedule) {
       sim::run_slot_engine(network, core::make_policy_factory(spec), config);
   const auto soa = sim::run_soa_slot_kernel(
       network, core::build_soa_policy_table(network, spec), config);
-
-  EXPECT_EQ(engine.complete, soa.complete);
-  EXPECT_EQ(engine.completion_slot, soa.completion_slot);
-  EXPECT_EQ(engine.slots_executed, soa.slots_executed);
-
-  ASSERT_EQ(engine.activity.size(), soa.activity.size());
-  for (std::size_t u = 0; u < engine.activity.size(); ++u) {
-    EXPECT_EQ(engine.activity[u].transmit, soa.activity[u].transmit)
-        << "node " << u;
-    EXPECT_EQ(engine.activity[u].receive, soa.activity[u].receive)
-        << "node " << u;
-    EXPECT_EQ(engine.activity[u].quiet, soa.activity[u].quiet) << "node " << u;
-  }
-
-  EXPECT_EQ(engine.state.covered_links(),
-            static_cast<std::size_t>(soa.covered_links));
-  EXPECT_EQ(engine.state.reception_count(),
-            static_cast<std::size_t>(soa.receptions));
-  for (const net::Link link : network.links()) {
-    ASSERT_EQ(engine.state.is_covered(link), soa.is_covered(link))
-        << "link " << link.from << "->" << link.to;
-    if (engine.state.is_covered(link)) {
-      EXPECT_DOUBLE_EQ(engine.state.first_coverage_time(link),
-                       soa.first_coverage_slot(link))
-          << "link " << link.from << "->" << link.to;
-    }
-  }
-
-  expect_same_robustness(engine.robustness, soa.robustness);
+  expect_same_trial(network, engine, soa);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SoaKernelEquivalence,
                          ::testing::Range<std::uint64_t>(1, 33));
+
+// Word-boundary leg: the reception scratch is an N-bit set of 64-bit
+// words, walked word by word in ascending listener order. Sizes just
+// below, at and above word edges (and a 4-word network) with every
+// stream-consuming feature on at once — sparse asymmetric links behind a
+// propagation filter, i.i.d. or burst loss, churn, PU interference and
+// adversaries — make the loss stream depend on listener order across
+// words.
+[[nodiscard]] net::Network sparse_asymmetric_network(std::uint64_t seed,
+                                                     net::NodeId n,
+                                                     util::Rng& rng) {
+  const net::ChannelId universe = 5;
+  net::Topology topology =
+      seed % 2 == 0
+          ? net::make_unit_disk_bucketed(n, std::sqrt(static_cast<double>(n)),
+                                         1.6, rng)
+                .topology
+          : net::make_erdos_renyi_sparse(n, 6.0 / static_cast<double>(n),
+                                         rng);
+  topology = net::make_asymmetric(topology, 0.3, rng);
+  auto assignment = net::uniform_random_assignment(n, universe, 3, rng);
+  return net::Network(std::move(topology), std::move(assignment),
+                      net::random_propagation_filter(universe, 0.8, seed));
+}
+
+[[nodiscard]] sim::SlotEngineConfig all_features_config(std::uint64_t seed,
+                                                        net::NodeId n,
+                                                        util::Rng& rng) {
+  sim::SlotEngineConfig config;
+  config.max_slots = 400;
+  config.seed = seed;
+  config.stop_when_complete = false;
+  config.interference = [](std::uint64_t slot, net::NodeId node,
+                           net::ChannelId c) {
+    return pseudo_pu(slot, node, c);
+  };
+  config.starts.assign(n, 0);
+  for (auto& s : config.starts) s = rng.uniform(25);
+  auto& plan = config.faults;
+  plan.churn.crash_probability = 0.3;
+  plan.churn.earliest_crash = 20;
+  plan.churn.latest_crash = 200;
+  plan.churn.min_down = 20;
+  plan.churn.max_down = 120;
+  plan.churn.reset_policy_on_recovery = seed % 2 == 0;
+  if (seed % 2 == 0) {
+    plan.burst_loss.enabled = true;
+    plan.burst_loss.p_good_to_bad = 0.05;
+    plan.burst_loss.p_bad_to_good = 0.2;
+    plan.burst_loss.loss_good = 0.05;
+    plan.burst_loss.loss_bad = 0.8;
+  } else {
+    config.loss_probability = 0.25;
+  }
+  plan.adversary.fraction = 0.15;
+  plan.adversary.attack = static_cast<sim::AdversaryAttack>(seed % 4);
+  plan.adversary.byzantine_tx = 0.6;
+  plan.adversary.victim_fraction = 0.5;
+  return config;
+}
+
+class SoaKernelWordBoundary
+    : public ::testing::TestWithParam<std::tuple<net::NodeId, std::uint64_t>> {
+};
+
+TEST_P(SoaKernelWordBoundary, MatchesSlotEngineBitExactly) {
+  const net::NodeId n = std::get<0>(GetParam());
+  const std::uint64_t seed = std::get<1>(GetParam()) + soak_offset();
+  util::Rng rng(seed ^ (0x50C + n));
+  const net::Network network = sparse_asymmetric_network(seed, n, rng);
+  const core::SyncPolicySpec spec = spec_for(seed);
+  const sim::SlotEngineConfig config = all_features_config(seed, n, rng);
+
+  const auto engine =
+      sim::run_slot_engine(network, core::make_policy_factory(spec), config);
+  const auto soa = sim::run_soa_slot_kernel(
+      network, core::build_soa_policy_table(network, spec), config);
+  ASSERT_GT(soa.receptions, 0u);
+  expect_same_trial(network, engine, soa);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, SoaKernelWordBoundary,
+    ::testing::Combine(::testing::Values<net::NodeId>(63, 64, 65, 127, 129,
+                                                      200),
+                       ::testing::Range<std::uint64_t>(1, 5)));
 
 // One kernel object must be reusable across trials (the per-trial arena):
 // running the same config twice on one instance is bit-identical.
@@ -316,6 +384,44 @@ TEST(SoaKernel, ReusedInstanceIsDeterministic) {
   EXPECT_EQ(first.receptions, second.receptions);
   EXPECT_EQ(first.covered, second.covered);
   EXPECT_EQ(first.first_slot, second.first_slot);
+}
+
+// The same at N > 64, where the transmitter and marked-listener bitsets
+// span several words: a run with another seed aborted mid-slot by a
+// throwing reception callback (so marks for that slot's later listeners
+// are left set) leaves no scratch behind for the next run(). Every node
+// starts at slot 0, so the next run's first slot is busy enough for a
+// stale mark to surface.
+TEST(SoaKernel, ReusedInstanceIsDeterministicAcrossWords) {
+  util::Rng rng(8);
+  const net::NodeId n = 200;
+  const net::Network network = sparse_asymmetric_network(3, n, rng);
+  const core::SyncPolicySpec spec = core::SyncPolicySpec::algorithm3(8);
+  const sim::SoaPolicyTable table =
+      core::build_soa_policy_table(network, spec);
+  sim::SlotEngineConfig config = all_features_config(3, n, rng);
+  config.starts.clear();
+
+  sim::SoaSlotKernel kernel(network);
+  const auto first = kernel.run(table, config);
+  ASSERT_GT(first.receptions, 0u);
+
+  sim::SlotEngineConfig aborted = config;
+  aborted.seed = 77;
+  aborted.on_reception = [](std::uint64_t, net::NodeId, net::NodeId,
+                            net::ChannelId) { throw std::runtime_error("x"); };
+  EXPECT_THROW((void)kernel.run(table, aborted), std::runtime_error);
+
+  const auto again = kernel.run(table, config);
+  EXPECT_EQ(first.complete, again.complete);
+  EXPECT_EQ(first.completion_slot, again.completion_slot);
+  EXPECT_EQ(first.receptions, again.receptions);
+  EXPECT_EQ(first.covered, again.covered);
+  EXPECT_EQ(first.first_slot, again.first_slot);
+  for (std::size_t u = 0; u < first.activity.size(); ++u) {
+    EXPECT_EQ(first.activity[u].transmit, again.activity[u].transmit);
+    EXPECT_EQ(first.activity[u].receive, again.activity[u].receive);
+  }
 }
 
 void expect_same_stats(const runner::SyncTrialStats& a,
