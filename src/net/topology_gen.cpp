@@ -136,12 +136,14 @@ Topology unit_disk_topology(std::span<const Point> positions, double side,
   // is capped near 2√n to keep the bucket array O(n) even for tiny radii;
   // capping only enlarges cells, which stays correct.
   const double ideal_cells = std::floor(side / radius);
-  std::size_t cells_per_axis =
-      ideal_cells < 1.0 ? 1 : static_cast<std::size_t>(ideal_cells);
   const auto cell_cap = static_cast<std::size_t>(
                             2.0 * std::sqrt(static_cast<double>(n))) +
                         1;
-  cells_per_axis = std::min(cells_per_axis, cell_cap);
+  // Capped before the cast: side / radius can exceed any integer type.
+  const std::size_t cells_per_axis =
+      ideal_cells < 1.0 ? 1
+                        : static_cast<std::size_t>(std::min(
+                              ideal_cells, static_cast<double>(cell_cap)));
   const double cell = side / static_cast<double>(cells_per_axis);
   auto cell_of = [&](const Point& pt) {
     auto cx = static_cast<std::size_t>(pt.x / cell);

@@ -51,7 +51,8 @@ struct BuiltTopology {
   return {};
 }
 
-[[nodiscard]] net::ChannelAssignment build_channels(
+/// nullopt when a primary-user field keeps failing its checks.
+[[nodiscard]] std::optional<net::ChannelAssignment> build_channels(
     const ScenarioConfig& c, const BuiltTopology& built, util::Rng& rng) {
   switch (c.channels) {
     case ChannelKind::kHomogeneous:
@@ -107,9 +108,7 @@ struct BuiltTopology {
         }
         if (ok) return assignment;
       }
-      M2HEW_CHECK_MSG(false,
-                      "primary-user field rejected 100 times; loosen config");
-      return {};
+      return std::nullopt;
     }
   }
   M2HEW_CHECK_MSG(false, "unknown channel kind");
@@ -119,6 +118,16 @@ struct BuiltTopology {
 }  // namespace
 
 net::Network build_scenario(const ScenarioConfig& config, std::uint64_t seed) {
+  std::string error;
+  std::optional<net::Network> network =
+      try_build_scenario(config, seed, &error);
+  M2HEW_CHECK_MSG(network.has_value(), error.c_str());
+  return std::move(*network);
+}
+
+std::optional<net::Network> try_build_scenario(const ScenarioConfig& config,
+                                               std::uint64_t seed,
+                                               std::string* error) {
   M2HEW_CHECK(config.n >= 1);
   if (config.channels == ChannelKind::kChainOverlap) {
     M2HEW_CHECK_MSG(config.topology == TopologyKind::kLine,
@@ -126,7 +135,13 @@ net::Network build_scenario(const ScenarioConfig& config, std::uint64_t seed) {
   }
   util::Rng rng(util::SeedSequence(seed).derive(0xBEEF));
   BuiltTopology built = build_topology(config, rng);
-  net::ChannelAssignment assignment = build_channels(config, built, rng);
+  std::optional<net::ChannelAssignment> channels =
+      build_channels(config, built, rng);
+  if (!channels.has_value()) {
+    *error = "primary-user field rejected 100 times; loosen config";
+    return std::nullopt;
+  }
+  net::ChannelAssignment assignment = std::move(*channels);
 
   net::Topology topology = std::move(built.topology);
   if (config.asymmetric_drop > 0.0) {
@@ -339,50 +354,6 @@ std::string describe(const ScenarioConfig& config,
     text += " workers=" + std::to_string(process_workers);
   }
   return text;
-}
-
-std::string describe_policy(std::string_view algorithm,
-                            std::size_t delta_est) {
-  const std::string name(algorithm);
-  const std::string with_delta =
-      " (delta_est=" + std::to_string(delta_est) + ")";
-  if (algorithm == "alg1") {
-    return name + ": paper Algorithm 1, staged" + with_delta;
-  }
-  if (algorithm == "alg2") {
-    return name + ": paper Algorithm 2, escalating estimate d+=1";
-  }
-  if (algorithm == "alg2x") {
-    return name + ": paper Algorithm 2, doubling-estimate ablation";
-  }
-  if (algorithm == "alg3") {
-    return name + ": paper Algorithm 3, constant probability" + with_delta;
-  }
-  if (algorithm == "alg4") {
-    return name + ": paper Algorithm 4, asynchronous frames" + with_delta;
-  }
-  if (algorithm == "baseline") {
-    return name + ": universal-channel round-robin strawman";
-  }
-  if (algorithm == "deterministic") {
-    return name + ": TDMA-by-identifier deterministic baseline";
-  }
-  if (algorithm == "adaptive") {
-    return name + ": collision-feedback adaptive-degree extension";
-  }
-  if (algorithm == "mcdis") {
-    return name + ": competitor Mc-Dis prime-pair duty cycling "
-                  "(arXiv:1307.3630)";
-  }
-  if (algorithm == "rendezvous") {
-    return name + ": competitor deterministic blind rendezvous, jump-stay "
-                  "(arXiv:1401.7313)";
-  }
-  if (algorithm == "consistent-hop") {
-    return name + ": competitor consistent channel hopping "
-                  "(arXiv:2506.18381)";
-  }
-  return name + " (unknown policy)";
 }
 
 }  // namespace m2hew::runner

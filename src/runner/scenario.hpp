@@ -4,8 +4,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
-#include <string_view>
 
 #include "net/network.hpp"
 #include "net/topology_provider.hpp"
@@ -79,9 +79,17 @@ struct ScenarioConfig {
 };
 
 /// Builds a network from the recipe; a given (config, seed) pair always
-/// yields the same network.
+/// yields the same network. Aborts (CHECK) where try_build_scenario
+/// reports.
 [[nodiscard]] net::Network build_scenario(const ScenarioConfig& config,
                                           std::uint64_t seed);
+
+/// Same network, but a draw that cannot be built — a primary-user field
+/// rejected 100 times because it silenced a node or broke an edge's span —
+/// returns nullopt with a one-line message instead of aborting. The config
+/// must pass validate_knobs (runner/scenario_kv.hpp).
+[[nodiscard]] std::optional<net::Network> try_build_scenario(
+    const ScenarioConfig& config, std::uint64_t seed, std::string* error);
 
 /// Mobility workload riding on a scenario (ROADMAP open item 4): random
 /// waypoint over the scenario's unit-disk square, link set recomputed
@@ -142,13 +150,5 @@ enum class SyncKernel;  // runner/trials.hpp
 /// Mobility suffix for report lines (" mobility=rwp(...) duty=a/b");
 /// empty when the spec is disabled, so callers append unconditionally.
 [[nodiscard]] std::string describe_mobility(const MobilitySpec& mobility);
-
-/// One-line description of a policy/algorithm name as the front ends
-/// spell it (--algorithm=/--policy= values, INI `algorithm =`): the
-/// paper's algorithms, the repo baselines, and the competitor policies
-/// from the related literature (core/competitors.hpp). Unknown names
-/// come back as "<name> (unknown policy)" so report lines never lie.
-[[nodiscard]] std::string describe_policy(std::string_view algorithm,
-                                          std::size_t delta_est);
 
 }  // namespace m2hew::runner

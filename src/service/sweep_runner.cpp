@@ -13,16 +13,14 @@
 #include <optional>
 #include <string_view>
 
-#include "core/adaptive.hpp"
-#include "core/algorithms.hpp"
-#include "core/competitors.hpp"
 #include "core/duty_cycle.hpp"
 #include "core/policy_spec.hpp"
 #include "core/trust.hpp"
 #include "net/topology_provider.hpp"
 #include "service/daemon.hpp"
-#include "runner/scenario_kv.hpp"
+#include "runner/algorithm_registry.hpp"
 #include "runner/streaming.hpp"
+#include "sim/encounter.hpp"
 #include "sim/slot_engine.hpp"
 #include "sim/soa_kernel.hpp"
 #include "util/ipc.hpp"
@@ -39,31 +37,69 @@ using Clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-[[nodiscard]] bool is_spec_algorithm(std::string_view algorithm) {
-  return algorithm == "alg1" || algorithm == "alg2" || algorithm == "alg2x" ||
-         algorithm == "alg3" || algorithm == "consistent-hop";
-}
+/// One sweep point, ready to run: its network (static, or the union
+/// network of its mobility provider), the engine config and the policy.
+struct PreparedPoint {
+  std::unique_ptr<net::EpochTopologyProvider> provider;
+  std::optional<net::Network> static_network;
+  sim::SlotEngineConfig engine;
+  /// The registry policy with duty cycling and trust wrapped around it
+  /// (both are the identity when off); runs on the slot engine.
+  sim::SyncPolicyFactory factory;
+  /// Set on the SoA kernel, which runs the policy as data.
+  std::optional<core::SyncPolicySpec> soa_spec;
 
-[[nodiscard]] core::SyncPolicySpec make_policy_spec(const SweepSpec& spec) {
-  if (spec.algorithm == "alg1") {
-    return core::SyncPolicySpec::algorithm1(spec.delta_est);
+  [[nodiscard]] const net::Network& network() const {
+    return provider != nullptr ? provider->union_network() : *static_network;
   }
-  if (spec.algorithm == "alg2") return core::SyncPolicySpec::algorithm2();
-  if (spec.algorithm == "alg2x") {
-    return core::SyncPolicySpec::algorithm2(core::EstimateSchedule::kDouble);
-  }
-  if (spec.algorithm == "consistent-hop") {
-    return core::SyncPolicySpec::consistent_hop();
-  }
-  return core::SyncPolicySpec::algorithm3(spec.delta_est);
-}
+};
 
-[[nodiscard]] sim::SyncPolicyFactory make_factory(const SweepSpec& spec) {
-  if (spec.algorithm == "adaptive") return core::make_adaptive();
-  if (spec.algorithm == "mcdis") return core::make_mcdis();
-  if (spec.algorithm == "rendezvous") return core::make_blind_rendezvous();
-  // parse_sweep_spec admits exactly one other non-spec algorithm.
-  return core::make_universal_baseline(spec.scenario.universe, 0.5);
+/// Resolves and checks the point (resolve_point), builds its network or
+/// mobility provider, the engine config and the wrapped policy.
+[[nodiscard]] bool prepare_point(const SweepSpec& spec, double value,
+                                 PreparedPoint& point, std::string* error) {
+  runner::ScenarioConfig scenario;
+  if (!resolve_point(spec, value, scenario, error)) return false;
+  const runner::AlgorithmEntry* entry = runner::find_algorithm(spec.algorithm);
+  if (entry == nullptr || !entry->slotted) {
+    *error = "unknown algorithm '" + spec.algorithm + "'";
+    return false;
+  }
+  if (spec.kernel == runner::SyncKernel::kSoa) {
+    if (entry->spec == nullptr) {
+      *error = "kernel = soa supports only " +
+               runner::algorithm_names(true, "/");
+      return false;
+    }
+    point.soa_spec = entry->spec(spec.delta_est);
+  }
+
+  // Mobile specs run every engine on the provider's union network; the
+  // per-epoch link sets ride along inside the engine config.
+  if (spec.mobility.enabled) {
+    point.provider =
+        runner::build_mobility_provider(scenario, spec.mobility, spec.seed);
+    point.engine.topology = point.provider.get();
+    point.engine.epoch_length = spec.mobility.epoch_slots;
+  } else {
+    point.static_network = runner::try_build_scenario(scenario, spec.seed,
+                                                      error);
+    if (!point.static_network.has_value()) return false;
+  }
+  point.engine.max_slots = spec.max_slots;
+  point.engine.faults = spec.faults;
+
+  // validate_knobs keeps duty cycling and trust off the SoA kernel.
+  const bool duty_cycled = spec.mobility.enabled &&
+                           spec.mobility.duty_on != spec.mobility.duty_period;
+  point.factory = core::with_trust(
+      core::with_duty_cycle(
+          runner::make_algorithm_factory(*entry, spec.delta_est,
+                                         point.network().universe_size()),
+          duty_cycled ? spec.mobility.duty_on : 1,
+          duty_cycled ? spec.mobility.duty_period : 1),
+      spec.trust);
+  return true;
 }
 
 /// Runs the trials in `indices` serially — engine seed derive(root, t) for
@@ -71,42 +107,26 @@ using Clock = std::chrono::steady_clock;
 /// record each. Shared by the worker children and the parent's
 /// crash-recovery path, so both produce identical records.
 void run_trial_subset(
-    const net::Network& network, const SweepSpec& spec,
-    const core::SyncPolicySpec* pspec, const sim::SoaPolicyTable* table,
-    const sim::SlotEngineConfig& engine_base,
+    const PreparedPoint& point, const SweepSpec& spec,
+    const sim::SoaPolicyTable* table,
     const std::vector<std::size_t>& indices,
     const std::function<void(const runner::TrialOutcomeRecord&)>& emit) {
   const util::SeedSequence seeds(spec.seed);
-  if (table != nullptr) {
-    sim::SoaSlotKernel kernel(network);
-    for (const std::size_t t : indices) {
-      sim::SlotEngineConfig engine = engine_base;
-      engine.seed = seeds.derive(t);
-      const auto result = kernel.run(*table, engine);
-      emit(runner::make_outcome_record(t, result.complete,
-                                       result.completion_slot,
-                                       result.robustness));
-    }
-    return;
-  }
-  // Duty cycling and trust wrap policy objects, so they ride the factory
-  // path only; parse_sweep_spec rejects SoA specs asking for either.
-  // with_trust(..., disabled) is the identity, so the wrap is free for
-  // untrusted specs.
-  const sim::SyncPolicyFactory factory = core::with_trust(
-      core::with_duty_cycle(
-          pspec != nullptr ? core::make_policy_factory(*pspec)
-                           : make_factory(spec),
-          spec.mobility.enabled ? spec.mobility.duty_on : 1,
-          spec.mobility.enabled ? spec.mobility.duty_period : 1),
-      spec.trust);
-  for (const std::size_t t : indices) {
-    sim::SlotEngineConfig engine = engine_base;
-    engine.seed = seeds.derive(t);
-    const auto result = sim::run_slot_engine(network, factory, engine);
+  std::optional<sim::SoaSlotKernel> kernel;
+  if (table != nullptr) kernel.emplace(point.network());
+  const auto record = [&emit](std::size_t t, const auto& result) {
     emit(runner::make_outcome_record(t, result.complete,
                                      result.completion_slot,
                                      result.robustness));
+  };
+  for (const std::size_t t : indices) {
+    sim::SlotEngineConfig engine = point.engine;
+    engine.seed = seeds.derive(t);
+    if (kernel.has_value()) {
+      record(t, kernel->run(*table, engine));
+    } else {
+      record(t, sim::run_slot_engine(point.network(), point.factory, engine));
+    }
   }
 }
 
@@ -133,12 +153,17 @@ void maybe_kill_for_test(std::size_t shard, std::size_t emitted,
   ::raise(SIGKILL);
 }
 
-[[nodiscard]] bool run_point_sharded(
-    const net::Network& network, const SweepSpec& spec,
-    const core::SyncPolicySpec* pspec, const sim::SoaPolicyTable* table,
-    const sim::SlotEngineConfig& engine_base, std::size_t workers,
-    runner::SyncTrialStats& out, std::string* error) {
+[[nodiscard]] bool run_point_sharded(const PreparedPoint& point,
+                                     const SweepSpec& spec,
+                                     std::size_t workers,
+                                     runner::SyncTrialStats& out,
+                                     std::string* error) {
   const auto start = Clock::now();
+  std::optional<sim::SoaPolicyTable> table;
+  if (point.soa_spec.has_value()) {
+    table = core::build_soa_policy_table(point.network(), *point.soa_spec);
+  }
+  const sim::SoaPolicyTable* table_ptr = table.has_value() ? &*table : nullptr;
   runner::StreamingSyncReducer reducer(spec.trials);
 
   std::vector<util::WorkerProcess> procs;
@@ -153,7 +178,7 @@ void maybe_kill_for_test(std::size_t shard, std::size_t emitted,
       // trials through the parent's missing-trials recovery.
       bool pipe_ok = true;
       std::size_t emitted = 0;
-      run_trial_subset(network, spec, pspec, table, engine_base, mine,
+      run_trial_subset(point, spec, table_ptr, mine,
                        [&](const runner::TrialOutcomeRecord& record) {
                          if (!pipe_ok) return;
                          const std::string line =
@@ -206,7 +231,7 @@ void maybe_kill_for_test(std::size_t shard, std::size_t emitted,
         "sweep: %zu of %zu worker(s) died mid-shard; re-running %zu missing "
         "trial(s) in-process",
         workers - end_markers, workers, missing.size());
-    run_trial_subset(network, spec, pspec, table, engine_base, missing,
+    run_trial_subset(point, spec, table_ptr, missing,
                      [&](const runner::TrialOutcomeRecord& record) {
                        reducer.offer(record);
                      });
@@ -215,40 +240,38 @@ void maybe_kill_for_test(std::size_t shard, std::size_t emitted,
   return true;
 }
 
-/// Rejects configurations build_scenario would CHECK-abort on, with a
-/// message instead (the daemon survives; the job fails).
-[[nodiscard]] bool validate_buildable(const runner::ScenarioConfig& scenario,
-                                      std::string* error) {
-  if (scenario.channels == runner::ChannelKind::kChainOverlap &&
-      scenario.topology != runner::TopologyKind::kLine) {
-    *error = "channels = chain requires topology = line";
-    return false;
+}  // namespace
+
+bool run_point(const SweepSpec& spec, double value,
+               const PointOptions& options, runner::SyncTrialStats& out,
+               std::string* error) {
+  PreparedPoint point;
+  if (!prepare_point(spec, value, point, error)) return false;
+  runner::SyncTrialConfig trial;
+  trial.trials = spec.trials;
+  trial.seed = spec.seed;
+  trial.threads = options.threads;
+  trial.engine = point.engine;
+  trial.kernel = spec.kernel;
+  std::optional<sim::EncounterIndex> encounters;
+  if (options.track_encounters && point.provider != nullptr) {
+    encounters.emplace(*point.provider, spec.mobility.epoch_slots,
+                       spec.max_slots);
+    trial.encounters = &*encounters;
   }
-  if (scenario.topology == runner::TopologyKind::kGrid) {
-    const net::NodeId rows = scenario.grid_rows != 0 ? scenario.grid_rows : 2;
-    if (rows == 0 || scenario.n % rows != 0) {
-      *error = "grid topology: n must be divisible by grid-rows";
-      return false;
-    }
-  }
-  if (scenario.channels == runner::ChannelKind::kPrimaryUsers &&
-      scenario.topology != runner::TopologyKind::kUnitDisk) {
-    *error = "channels = primary-users requires topology = unit-disk";
-    return false;
-  }
+  out = point.soa_spec.has_value()
+            ? runner::run_sync_trials(point.network(), *point.soa_spec, trial)
+            : runner::run_sync_trials(point.network(), point.factory, trial);
   return true;
 }
-
-}  // namespace
 
 bool run_sweep(const SweepSpec& spec, std::size_t workers,
                SweepResult& result, std::string* error) {
   result = SweepResult{};
   result.workers = workers == 0 ? 1 : workers;
-
-  const bool spec_algorithm = is_spec_algorithm(spec.algorithm);
-  core::SyncPolicySpec pspec;
-  if (spec_algorithm) pspec = make_policy_spec(spec);
+  // Never more processes than trials: surplus shards would be empty.
+  const std::size_t point_workers =
+      std::min(result.workers, std::max<std::size_t>(spec.trials, 1));
 
   for (const double value : spec.sweep_values) {
     if (shutdown_requested()) {
@@ -258,80 +281,16 @@ bool run_sweep(const SweepSpec& spec, std::size_t workers,
       *error = "interrupted by shutdown";
       return false;
     }
-    runner::ScenarioConfig scenario = spec.scenario;
-    if (!spec.sweep_key.empty()) {
-      if (!runner::apply_scenario_setting(scenario, spec.sweep_key,
-                                          format_sweep_value(value), error)) {
-        return false;
-      }
-    }
-    if (!validate_buildable(scenario, error)) return false;
-
-    // Mobile specs run every engine on the provider's union network; the
-    // per-epoch link sets ride along inside the engine config. The daemon
-    // reports completion/robustness only (encounter metrics are a batch
-    // front-end feature — the wire format stays unchanged).
-    std::unique_ptr<net::EpochTopologyProvider> provider;
-    std::optional<net::Network> static_network;
-    if (spec.mobility.enabled) {
-      provider =
-          runner::build_mobility_provider(scenario, spec.mobility, spec.seed);
-    } else {
-      static_network.emplace(runner::build_scenario(scenario, spec.seed));
-    }
-    const net::Network& network =
-        provider != nullptr ? provider->union_network() : *static_network;
-    sim::SlotEngineConfig engine;
-    engine.max_slots = spec.max_slots;
-    engine.faults = spec.faults;
-    if (provider != nullptr) {
-      engine.topology = provider.get();
-      engine.epoch_length = spec.mobility.epoch_slots;
-    }
-
+    // The daemon reports completion/robustness only (encounter metrics
+    // are a batch front-end feature — the wire format stays unchanged);
+    // the service's unit of fan-out is the process.
     runner::SyncTrialStats stats;
-    // Never more processes than trials: surplus shards would be empty.
-    const std::size_t point_workers =
-        std::min(result.workers, std::max<std::size_t>(spec.trials, 1));
     if (point_workers <= 1) {
-      runner::SyncTrialConfig trial;
-      trial.trials = spec.trials;
-      trial.seed = spec.seed;
-      trial.threads = 1;  // the service's unit of fan-out is the process
-      trial.engine = engine;
-      trial.kernel = spec.kernel;
-      const bool duty_cycled =
-          spec.mobility.enabled &&
-          spec.mobility.duty_on != spec.mobility.duty_period;
-      if (duty_cycled || spec.trust.enabled) {
-        // Duty cycling and trust wrap policy objects, so route spec
-        // algorithms through the factory path (parse rejects SoA specs
-        // asking for either; the spec overload below would bypass the
-        // wrappers).
-        stats = runner::run_sync_trials(
-            network,
-            core::with_trust(
-                core::with_duty_cycle(
-                    spec_algorithm ? core::make_policy_factory(pspec)
-                                   : make_factory(spec),
-                    duty_cycled ? spec.mobility.duty_on : 1,
-                    duty_cycled ? spec.mobility.duty_period : 1),
-                spec.trust),
-            trial);
-      } else {
-        stats = spec_algorithm
-                    ? runner::run_sync_trials(network, pspec, trial)
-                    : runner::run_sync_trials(network, make_factory(spec),
-                                              trial);
-      }
+      if (!run_point(spec, value, PointOptions{}, stats, error)) return false;
     } else {
-      const bool soa = spec.kernel == runner::SyncKernel::kSoa;
-      sim::SoaPolicyTable table;
-      if (soa) table = core::build_soa_policy_table(network, pspec);
-      if (!run_point_sharded(network, spec,
-                             spec_algorithm ? &pspec : nullptr,
-                             soa ? &table : nullptr, engine, point_workers,
-                             stats, error)) {
+      PreparedPoint point;
+      if (!prepare_point(spec, value, point, error) ||
+          !run_point_sharded(point, spec, point_workers, stats, error)) {
         return false;
       }
     }

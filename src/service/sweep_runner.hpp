@@ -2,8 +2,8 @@
 //
 // Two paths produce the SAME numbers:
 //
-//   workers <= 1   batch — runner::run_sync_trials in-process, exactly
-//                  what tools/m2hew_experiment does.
+//   workers <= 1   batch — run_point, exactly what tools/m2hew_experiment
+//                  does.
 //   workers  > 1   sharded — per sweep point, `workers` forked processes
 //                  each run the trial subset {t : t ≡ w (mod workers)}
 //                  serially and stream one wire record per trial back;
@@ -39,6 +39,22 @@ struct SweepResult {
   std::vector<SweepPointResult> points;  ///< one per spec.sweep_values
   std::size_t workers = 1;               ///< resolved process fan-out
 };
+
+/// In-process execution knobs of one point (run_point).
+struct PointOptions {
+  std::size_t threads = 1;        ///< trial fan-out; 0 = all cores
+  bool track_encounters = false;  ///< mobile specs: per-contact metrics
+};
+
+/// Runs one sweep point in-process — the batch path of run_sweep and all
+/// of tools/m2hew_experiment: applies the sweep value and checks the point
+/// (resolve_point), builds the network or the mobility provider and the
+/// engine config, wraps the registry policy with duty cycling and trust,
+/// and calls runner::run_sync_trials. Returns false with a one-line
+/// message if the point is invalid or cannot be built.
+[[nodiscard]] bool run_point(const SweepSpec& spec, double value,
+                             const PointOptions& options,
+                             runner::SyncTrialStats& out, std::string* error);
 
 /// Runs every sweep point of the spec. `workers` is the process fan-out
 /// per point (0 or 1 = batch path). Returns false with a one-line message

@@ -1,11 +1,15 @@
-// SweepSpec: the resolved form of a sweep-definition INI file — the same
-// format tools/m2hew_experiment reads — as consumed by the sweep service.
+// SweepSpec: the resolved form of a sweep-definition INI file, as read by
+// both tools/m2hew_experiment and the sweep service. The knob sections
+// ([scenario], [faults], [mobility], [adversary]) come from the knob table
+// (runner/scenario_kv.hpp); [experiment] holds the run keys below plus the
+// batch tool's `threads` and `plot`.
 //
-// Parsing is strict where the batch tool is lenient: unknown sections and
-// keys are rejected with a one-line message instead of silently ignored,
-// because a daemon cannot ask the submitter "did you mean set-size?" at a
-// terminal. Parsing never aborts the process; every failure is reported
-// through the error out-parameter (the daemon must survive bad specs).
+// Parsing is strict: unknown sections and keys, malformed values, values
+// outside a key's range and contradictory combinations (checked at every
+// sweep point) are rejected with a one-line message, because a daemon
+// cannot ask the submitter "did you mean set-size?" at a terminal and the
+// batch tool should fail before it simulates. Parsing never aborts the
+// process; every failure is reported through the error out-parameter.
 //
 // The spec also defines its own identity: scenario_hash() keys the
 // content-addressed artifact cache. The hash is taken over the RESOLVED
@@ -34,7 +38,7 @@ namespace m2hew::service {
 
 struct SweepSpec {
   std::string name = "experiment";
-  std::string algorithm = "alg3";  ///< alg1|alg2|alg2x|alg3|adaptive|baseline
+  std::string algorithm = "alg3";  ///< a slotted algorithm_registry() name
   std::size_t delta_est = 8;
   std::size_t trials = 30;
   std::uint64_t seed = 1;          ///< root seed; trial t uses derive(t)
@@ -64,6 +68,14 @@ struct SweepSpec {
 /// Shared by spec validation and the sweep runner so both apply
 /// bit-identical settings.
 [[nodiscard]] std::string format_sweep_value(double value);
+
+/// The scenario of one sweep point: spec.scenario with the sweep key set
+/// to `value` (unchanged when there is no sweep key), checked together
+/// with the spec's faults, mobility and trust by runner::validate_knobs.
+/// Returns false with a one-line message naming the keys involved.
+[[nodiscard]] bool resolve_point(const SweepSpec& spec, double value,
+                                 runner::ScenarioConfig& scenario,
+                                 std::string* error);
 
 /// Parses and validates a spec file. On failure returns false with a
 /// one-line message in *error and leaves `spec` unspecified; never aborts.

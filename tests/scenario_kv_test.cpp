@@ -2,10 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/trust.hpp"
+#include "service/sweep_spec.hpp"
 #include "sim/fault_plan.hpp"
+#include "util/flags.hpp"
 #include "util/ini.hpp"
 
 namespace m2hew::runner {
@@ -166,6 +176,362 @@ TEST(ScenarioKvDeath, BadValuesAbort) {
                "CHECK failed");
   EXPECT_DEATH((void)apply_scenario_setting(config, "channels", "psychic"),
                "CHECK failed");
+}
+
+// ---- Table-driven: every row of the knob table ---------------------------
+
+using Settings = std::vector<std::pair<std::string, std::string>>;
+
+[[nodiscard]] const Knob& row_named(std::string_view key) {
+  for (const Knob& row : knob_table()) {
+    if (row.key == key) return row;
+  }
+  ADD_FAILURE() << "no row " << key;
+  return knob_table().front();
+}
+
+/// "--flag" (appended: GCC 12 at -O3 reports a bogus -Wrestrict for a
+/// short literal + std::string).
+[[nodiscard]] std::string flag_of(const Knob& row) {
+  return std::string("--").append(row.flag);
+}
+
+[[nodiscard]] std::string number_text(double value) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", value);
+  return buf;
+}
+
+[[nodiscard]] std::string count_text(double value) {
+  return std::to_string(static_cast<std::uint64_t>(value));
+}
+
+/// The row's default, parsed.
+[[nodiscard]] KnobValue default_of(const Knob& row) {
+  std::string error;
+  const auto value = parse_knob(row, row.def, KnobSpelling::kIni, &error);
+  EXPECT_TRUE(value.has_value()) << error;
+  return value.value_or(KnobValue{});
+}
+
+/// An in-range value that differs from the row's default.
+[[nodiscard]] std::string non_default(const Knob& row) {
+  const KnobValue def = default_of(row);
+  switch (row.kind) {
+    case KnobKind::kCount: return std::to_string(def.count + 1);
+    case KnobKind::kReal:
+      return number_text(def.real > 0.0 ? def.real / 2 : 0.5);
+    case KnobKind::kBool: return def.count != 0 ? "0" : "1";
+    case KnobKind::kChoice:
+      return std::string(row.choices[(def.count + 1) % row.choices.size()]);
+  }
+  return "";
+}
+
+/// The settings around `key = value` that let the value take effect and
+/// pass the rules across keys: the gate of a gated block, trust or the
+/// attack switched on, a unit-disk topology under mobility, a universe
+/// large enough for a set size, and so on.
+[[nodiscard]] Settings context_for(const Knob& row, const std::string& value) {
+  const std::string key(row.key);
+  const double v = row.kind == KnobKind::kCount || row.kind == KnobKind::kReal
+                       ? std::strtod(value.c_str(), nullptr)
+                       : 0.0;
+  const auto at_least = [](double a, double b) { return std::max(a, b); };
+  Settings s;
+  switch (row.block) {
+    case KnobBlock::kChurn:
+      if (key != "crash-prob") s.push_back({"crash-prob", "0.5"});
+      if (key == "crash-from") s.push_back({"crash-until", count_text(at_least(v, 2000))});
+      if (key == "crash-until") s.push_back({"crash-from", count_text(std::min(v, 200.0))});
+      if (key == "down-min") s.push_back({"down-max", count_text(at_least(v, 1000))});
+      if (key == "down-max") s.push_back({"down-min", count_text(std::min(v, 100.0))});
+      break;
+    case KnobBlock::kBurstLoss:
+      if (key != "burst-loss") s.push_back({"burst-loss", "0.5"});
+      break;
+    case KnobBlock::kAdversary:
+      if (key != "fraction") s.push_back({"fraction", "0.3"});
+      break;
+    case KnobBlock::kTrust:
+      if (key != "trust") s.push_back({"trust", "1"});
+      break;
+    case KnobBlock::kMobility: {
+      s.push_back({"topology", "unit-disk"});
+      if (key == "speed-min" || key == "speed-max") {
+        const double speed_max = at_least(v, 0.05);
+        if (key == "speed-min") s.push_back({"speed-max", number_text(speed_max)});
+        s.push_back({"ud-side", number_text(at_least(1.0, speed_max))});
+      }
+      if (key == "duty-on") s.push_back({"duty-period", count_text(at_least(v, 1))});
+      break;
+    }
+    case KnobBlock::kScenario:
+      if (key == "n" && v > 64) {
+        // A line with one channel keeps the largest n cheap to build.
+        s = {{"topology", "line"}, {"universe", "1"}, {"set-size", "1"}};
+      } else if (key == "grid-rows") {
+        // An even n also suits the default two rows.
+        const double n = v == 0 ? 2 : (2 * v <= 1'000'000 ? 2 * v : v);
+        s = {{"topology", "grid"}, {"n", count_text(n)}};
+        if (v > 64) s.insert(s.end(), {{"universe", "1"}, {"set-size", "1"}});
+      } else if (key == "ws-k" && v <= 1000 && std::fmod(v, 2) == 0) {
+        s = {{"topology", "watts-strogatz"}, {"n", count_text(v + 2)}};
+      } else if (key == "ba-m" && v <= 1000) {
+        s = {{"topology", "barabasi-albert"}, {"n", count_text(v + 1)}};
+      } else if (key == "universe") {
+        s = {{"set-size", count_text(std::min(v, 4.0))}};
+      } else if (key == "set-size") {
+        s = {{"universe", count_text(at_least(v, 8))}};
+      } else if (key == "min-size") {
+        s = {{"channels", "variable"}, {"max-size", count_text(at_least(v, 6))},
+             {"universe", count_text(at_least(v, 8))}};
+      } else if (key == "max-size") {
+        s = {{"channels", "variable"}, {"min-size", count_text(std::min(v, 2.0))},
+             {"universe", count_text(at_least(v, 8))}};
+      } else if (key == "overlap") {
+        s = {{"channels", "chain"}, {"topology", "line"},
+             {"set-size", count_text(at_least(v, 4))}};
+      } else if (key == "pu-count" || key == "pu-min-radius" ||
+                 key == "pu-max-radius") {
+        s = {{"channels", "primary-users"}, {"topology", "unit-disk"}};
+        if (key == "pu-min-radius") s.push_back({"pu-max-radius", number_text(at_least(v, 0.5))});
+        if (key == "pu-max-radius") s.push_back({"pu-min-radius", number_text(std::min(v, 0.2))});
+      } else if (key == "ud-side" || key == "ud-radius") {
+        s = {{"topology", "unit-disk"}};
+      } else if (key == "er-p") {
+        s = {{"topology", "erdos-renyi"}};
+      } else if (key == "ws-beta") {
+        s = {{"topology", "watts-strogatz"}};
+      } else if (key == "prop-keep") {
+        s = {{"propagation", "random"}};
+      } else if (key == "require-nonempty-spans") {
+        s = {{"channels", "uniform"}};
+      } else if (key == "channels" && value == "chain") {
+        s = {{"topology", "line"}};
+      } else if (key == "channels" && value == "primary-users") {
+        s = {{"topology", "unit-disk"}};
+      }
+      break;
+  }
+  // The row's own setting wins over a context entry for the same key.
+  std::erase_if(s, [&](const auto& kv) { return kv.first == key; });
+  s.push_back({key, value});
+  return s;
+}
+
+[[nodiscard]] bool mobile(const Settings& settings) {
+  return std::any_of(settings.begin(), settings.end(), [](const auto& kv) {
+    return row_named(kv.first).block == KnobBlock::kMobility;
+  });
+}
+
+[[nodiscard]] std::string ini_text(const Settings& settings) {
+  std::string text = "[experiment]\nname = knob\n";
+  for (const auto& [key, value] : settings) {
+    text.append("[")
+        .append(section_name(section_of(row_named(key).block)))
+        .append("]\n" + key + " = " + value + "\n");
+  }
+  return text;
+}
+
+[[nodiscard]] std::optional<service::SweepSpec> spec_from_ini(
+    const Settings& settings, std::string* error) {
+  const util::IniFile ini = util::IniFile::parse_string(ini_text(settings));
+  service::SweepSpec spec;
+  if (!service::parse_sweep_spec(ini, spec, error)) return std::nullopt;
+  return spec;
+}
+
+[[nodiscard]] std::optional<service::SweepSpec> spec_from_flags(
+    const Settings& settings, std::string* error) {
+  std::vector<std::string> args = {"m2hew_cli"};
+  for (const auto& [key, value] : settings) {
+    args.push_back(flag_of(row_named(key)) + "=" + value);
+  }
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  const util::Flags flags(static_cast<int>(argv.size()), argv.data());
+  service::SweepSpec spec;  // the [experiment] part spec_from_ini parses
+  spec.name = "knob";
+  spec.sweep_values = {0.0};
+  spec.mobility.enabled = mobile(settings);  // --mobility=rwp
+  const KnobTarget target{&spec.scenario, &spec.faults, &spec.mobility,
+                          &spec.trust};
+  if (!apply_flag_knobs(flags, target, error) ||
+      !validate_knobs(target, {}, KnobSpelling::kFlag, error)) {
+    return std::nullopt;
+  }
+  return spec;
+}
+
+TEST(KnobTable, KeysAndFlagsAreUniqueAndEveryRowIsDocumented) {
+  std::set<std::string_view> keys;
+  std::set<std::string_view> flags;
+  for (const Knob& row : knob_table()) {
+    EXPECT_TRUE(keys.insert(row.key).second) << row.key;
+    EXPECT_TRUE(flags.insert(row.flag).second) << row.flag;
+    EXPECT_FALSE(row.help.empty()) << row.key;
+    EXPECT_EQ(find_knob(section_of(row.block), row.key), &row);
+  }
+  EXPECT_EQ(knob_table().size(), 52u);
+}
+
+TEST(KnobTable, DefaultsAreTheStructDefaults) {
+  // Ungated rows write only what was given, so their defaults must be
+  // the structs' own; gated blocks start off.
+  ScenarioConfig scenario;
+  sim::SlotFaultPlan faults;
+  MobilitySpec mobility;
+  core::TrustConfig trust;
+  const KnobTarget target{&scenario, &faults, &mobility, &trust};
+  for (const Knob& row : knob_table()) {
+    const KnobValue def = default_of(row);
+    const KnobValue now = row.read(target);
+    if (row.block == KnobBlock::kChurn || row.block == KnobBlock::kBurstLoss) {
+      if (row.key == "crash-prob" || row.key == "burst-loss") {
+        EXPECT_EQ(def.real, 0.0) << row.key;
+      }
+      continue;
+    }
+    EXPECT_EQ(def.count, now.count) << row.key;
+    EXPECT_EQ(def.real, now.real) << row.key;
+  }
+}
+
+TEST(KnobTable, FlagAndIniSpellingsGiveTheSameSpec) {
+  for (const Knob& row : knob_table()) {
+    const std::string value = non_default(row);
+    const Settings settings = context_for(row, value);
+    std::string error;
+    const auto from_ini = spec_from_ini(settings, &error);
+    ASSERT_TRUE(from_ini.has_value()) << row.key << ": " << error;
+    const auto from_flags = spec_from_flags(settings, &error);
+    ASSERT_TRUE(from_flags.has_value()) << row.flag << ": " << error;
+    EXPECT_EQ(from_ini->canonical(), from_flags->canonical()) << row.key;
+    EXPECT_EQ(service::scenario_hash(*from_ini),
+              service::scenario_hash(*from_flags))
+        << row.key;
+    // The value reaches the cache key: dropping it changes the spec.
+    Settings without = settings;
+    without.pop_back();
+    const auto context_only = spec_from_ini(without, &error);
+    ASSERT_TRUE(context_only.has_value()) << row.key << ": " << error;
+    EXPECT_NE(from_ini->canonical(), context_only->canonical()) << row.key;
+  }
+}
+
+/// The values at a row's bounds: min and max for numbers (the nearest
+/// double inside an open bound, the largest finite double for an
+/// unbounded one), both values of a boolean, every choice.
+[[nodiscard]] std::vector<std::string> bound_values(const Knob& row) {
+  const double inf = std::numeric_limits<double>::infinity();
+  switch (row.kind) {
+    case KnobKind::kCount: return {count_text(row.min), count_text(row.max)};
+    case KnobKind::kReal: {
+      const double lo = row.min_open ? std::nextafter(row.min, inf) : row.min;
+      const double hi =
+          row.max == inf ? std::numeric_limits<double>::max()
+                         : (row.max_open ? std::nextafter(row.max, -inf)
+                                         : row.max);
+      return {number_text(lo), number_text(hi)};
+    }
+    case KnobKind::kBool: return {"0", "1"};
+    case KnobKind::kChoice: {
+      std::vector<std::string> all;
+      for (const std::string_view name : row.choices) all.emplace_back(name);
+      return all;
+    }
+  }
+  return {};
+}
+
+TEST(KnobTable, EveryBoundPassesValidationAndBuildsWithoutAbort) {
+  for (const Knob& row : knob_table()) {
+    for (const std::string& value : bound_values(row)) {
+      SCOPED_TRACE(std::string(row.key) + " = " + value);
+      std::string error;
+      const auto spec = spec_from_ini(context_for(row, value), &error);
+      ASSERT_TRUE(spec.has_value()) << error;
+      // The aborting validators the engines run: any CHECK here kills the
+      // test binary.
+      sim::validate_fault_plan(spec->faults, spec->scenario.n, 0.0);
+      core::validate_trust_config(spec->trust);
+      if (spec->mobility.enabled) {
+        const auto provider =
+            build_mobility_provider(spec->scenario, spec->mobility, 1);
+        EXPECT_EQ(provider->union_network().node_count(), spec->scenario.n);
+        continue;
+      }
+      // A primary-user field can fail its 100 draws at extreme radii;
+      // that must come back as a message, not an abort.
+      const auto network = try_build_scenario(spec->scenario, 1, &error);
+      if (network.has_value()) {
+        EXPECT_EQ(network->node_count(), spec->scenario.n);
+      } else {
+        EXPECT_EQ(spec->scenario.channels, ChannelKind::kPrimaryUsers)
+            << error;
+      }
+    }
+  }
+}
+
+/// Values just outside a row's range, plus malformed text.
+[[nodiscard]] std::vector<std::string> outside_values(const Knob& row) {
+  const double inf = std::numeric_limits<double>::infinity();
+  switch (row.kind) {
+    case KnobKind::kCount: {
+      std::vector<std::string> out = {"-1", count_text(row.max + 1), "1.5"};
+      if (row.min >= 1) out.push_back(count_text(row.min - 1));
+      return out;
+    }
+    case KnobKind::kReal:
+      return {number_text(row.min_open ? row.min
+                                       : std::nextafter(row.min, -inf)),
+              row.max == inf ? "inf"
+                             : number_text(row.max_open
+                                               ? row.max
+                                               : std::nextafter(row.max, inf)),
+              "nan", "x"};
+    case KnobKind::kBool: return {"2", "yes"};
+    case KnobKind::kChoice: return {"bogus", ""};
+  }
+  return {};
+}
+
+TEST(KnobTable, ValuesOutsideTheRangeAreRejectedNamingTheKey) {
+  for (const Knob& row : knob_table()) {
+    for (const std::string& value : outside_values(row)) {
+      SCOPED_TRACE(std::string(row.key) + " = " + value);
+      std::string error;
+      EXPECT_FALSE(parse_knob(row, value, KnobSpelling::kIni, &error));
+      EXPECT_NE(error.find(row.key), std::string::npos) << error;
+      error.clear();
+      EXPECT_FALSE(spec_from_ini({{std::string(row.key), value}}, &error));
+      EXPECT_NE(error.find(row.key), std::string::npos) << error;
+      error.clear();
+      EXPECT_FALSE(spec_from_flags({{std::string(row.key), value}}, &error));
+      EXPECT_NE(error.find(flag_of(row)), std::string::npos)
+          << error;
+    }
+  }
+}
+
+TEST(KnobTable, CliHelpListsEveryFlag) {
+  FILE* pipe = ::popen(M2HEW_CLI_PATH " --help", "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string help;
+  char buf[4096];
+  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, pipe)) > 0;) {
+    help.append(buf, n);
+  }
+  EXPECT_EQ(::pclose(pipe), 0);
+  for (const Knob& row : knob_table()) {
+    EXPECT_NE(help.find(flag_of(row) + "=<"),
+              std::string::npos)
+        << row.flag;
+  }
 }
 
 }  // namespace

@@ -8,8 +8,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "service/artifact_cache.hpp"
+#include "util/hash.hpp"
 #include "util/ini.hpp"
 
 namespace m2hew::service {
@@ -403,6 +405,36 @@ TEST(SweepSpec, FormatSweepValue) {
   EXPECT_EQ(format_sweep_value(4.0), "4");
   EXPECT_EQ(format_sweep_value(0.25), "0.25");
   EXPECT_EQ(format_sweep_value(-3.0), "-3");
+}
+
+TEST(SweepSpec, CheckedInSpecsKeepTheirCacheKeys) {
+  // fnv1a64 of canonical() for every checked-in spec and the experiment
+  // tool's smoke spec. Both front ends parse with parse_sweep_spec, so
+  // this also proves both accept all of them; a change to a value here
+  // re-keys every cached artifact of that spec.
+  const std::pair<std::string, std::uint64_t> kPins[] = {
+      {M2HEW_SOURCE_DIR "/experiments/asymmetry_sweep.ini",
+       0x4b38bb237fb45d93},
+      {M2HEW_SOURCE_DIR "/experiments/churn_stress.ini", 0xb7e9f45e66be19cd},
+      {M2HEW_SOURCE_DIR "/experiments/density_sweep.ini",
+       0xd9ba2826cdce0540},
+      {M2HEW_SOURCE_DIR "/experiments/mobility_contact.ini",
+       0x548c713396cd0444},
+      {M2HEW_SOURCE_DIR "/experiments/rho_sweep.ini", 0x4e9a0b1a1d0aa02d},
+      {M2HEW_SOURCE_DIR "/experiments/tournament.ini", 0x478ac804e898ef42},
+      {M2HEW_SMOKE_SWEEP_INI, 0xaae952e61a824e90},
+  };
+  for (const auto& [path, pin] : kPins) {
+    std::ifstream in(path);
+    ASSERT_TRUE(in) << path;
+    util::IniParseError parse_error;
+    const util::IniFile ini = util::IniFile::parse(in, &parse_error);
+    ASSERT_TRUE(parse_error.ok()) << path << ": " << parse_error.message;
+    SweepSpec spec;
+    std::string error;
+    ASSERT_TRUE(parse_sweep_spec(ini, spec, &error)) << path << ": " << error;
+    EXPECT_EQ(util::fnv1a64(spec.canonical()), pin) << path;
+  }
 }
 
 TEST(ArtifactCache, HitMissStoreAndInvalidation) {

@@ -6,12 +6,12 @@
 //   $ m2hew_trace --topology=line --n=4 --slots=40
 //   $ m2hew_trace --algorithm=alg1 --delta-est=16 --slots=60 --seed=3
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/adaptive.hpp"
-#include "core/algorithms.hpp"
-#include "core/baseline_deterministic.hpp"
+#include "runner/algorithm_registry.hpp"
 #include "runner/scenario.hpp"
 #include "runner/scenario_kv.hpp"
 #include "sim/slot_engine.hpp"
@@ -22,23 +22,32 @@ namespace {
 
 using namespace m2hew;
 
-constexpr const char* kUsage = R"(m2hew_trace — execution timeline viewer
+void print_usage() {
+  std::printf(
+      "m2hew_trace — execution timeline viewer\n\n"
+      "  --topology/--n/--channels/... any [scenario] key of the knob table\n"
+      "                                 (m2hew_cli --help lists them), "
+      "defaults: line n=4,\n"
+      "                                 uniform channels |U|=6 |A|=3\n"
+      "  --algorithm=<%s> (default alg3)\n"
+      "  --delta-est=<bound>            (default 8)\n"
+      "  --slots=<count>                timeline window (default 40)\n"
+      "  --seed=<seed>                  (default 1)\n",
+      runner::algorithm_names(false, "|").c_str());
+}
 
-  --topology/--n/--channels/... any scenario key (see scenario_kv.hpp,
-                                 dashes as in the CLI), defaults: line n=4,
-                                 uniform channels |U|=6 |A|=3
-  --algorithm=<alg1|alg2|alg3|adaptive|baseline|deterministic> (default alg3)
-  --delta-est=<bound>            (default 8)
-  --slots=<count>                timeline window (default 40)
-  --seed=<seed>                  (default 1)
-)";
+[[noreturn]] void fail(const std::string& message) {
+  std::fprintf(stderr, "m2hew_trace: %s\n", message.c_str());
+  std::exit(2);
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+  util::Flags flags(argc, argv);
+  flags.on_parse_error([](const std::string& message) { fail(message); });
   if (flags.has("help")) {
-    std::fputs(kUsage, stdout);
+    print_usage();
     return 0;
   }
 
@@ -49,31 +58,29 @@ int main(int argc, char** argv) {
   scenario.universe = 6;
   scenario.set_size = 3;
   // Any flag that names a scenario key overrides the default.
-  for (const char* key :
-       {"topology", "n", "grid-rows", "er-p", "ud-side", "ud-radius",
-        "ws-k", "ws-beta", "ba-m", "channels", "universe", "set-size",
-        "min-size", "max-size", "overlap", "asymmetric-drop", "propagation",
-        "prop-keep"}) {
-    if (flags.has(key)) {
-      if (!runner::apply_scenario_setting(scenario, key,
-                                          flags.get_string(key))) {
-        std::fprintf(stderr, "bad scenario key --%s\n", key);
-        return 2;
-      }
-    }
+  std::string error;
+  if (!runner::apply_flag_knobs(flags, {.scenario = &scenario}, &error) ||
+      !runner::validate_knobs({.scenario = &scenario}, {},
+                              runner::KnobSpelling::kFlag, &error)) {
+    fail(error);
   }
 
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  if (flags.get_int("slots", 40) < 1) {
-    std::fprintf(stderr, "--slots must be >= 1\n");
-    return 2;
-  }
+  if (flags.get_int("slots", 40) < 1) fail("--slots must be >= 1");
   const auto slots = static_cast<std::uint64_t>(flags.get_int("slots", 40));
+  if (flags.get_int("delta-est", 8) < 1) fail("--delta-est must be >= 1");
   const auto delta_est =
       static_cast<std::size_t>(flags.get_int("delta-est", 8));
   const std::string algorithm = flags.get_string("algorithm", "alg3");
+  const runner::AlgorithmEntry* entry = runner::find_algorithm(algorithm);
+  if (entry == nullptr || !entry->slotted) {
+    fail("unknown --algorithm=" + algorithm);
+  }
 
-  const net::Network network = runner::build_scenario(scenario, seed);
+  std::optional<net::Network> built =
+      runner::try_build_scenario(scenario, seed, &error);
+  if (!built.has_value()) fail(error);
+  const net::Network& network = *built;
   std::printf("scenario: %s\n", runner::describe(scenario).c_str());
   for (net::NodeId u = 0; u < network.node_count(); ++u) {
     std::printf("node %3u available:", u);
@@ -83,23 +90,8 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  sim::SyncPolicyFactory factory;
-  if (algorithm == "alg1") {
-    factory = core::make_algorithm1(delta_est);
-  } else if (algorithm == "alg2") {
-    factory = core::make_algorithm2();
-  } else if (algorithm == "alg3") {
-    factory = core::make_algorithm3(delta_est);
-  } else if (algorithm == "adaptive") {
-    factory = core::make_adaptive();
-  } else if (algorithm == "baseline") {
-    factory = core::make_universal_baseline(network.universe_size(), 0.5);
-  } else if (algorithm == "deterministic") {
-    factory = core::make_deterministic_baseline(network.universe_size());
-  } else {
-    std::fprintf(stderr, "unknown --algorithm=%s\n", algorithm.c_str());
-    return 2;
-  }
+  const sim::SyncPolicyFactory factory = runner::make_algorithm_factory(
+      *entry, delta_est, network.universe_size());
 
   sim::Trace trace;
   sim::SlotEngineConfig engine;
