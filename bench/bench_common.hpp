@@ -139,10 +139,18 @@ inline void write_bench_json(const char* bench_id,
   std::printf("[artifact] wrote %s\n", path.c_str());
 }
 
+/// Set by a reproduction section whose deterministic verdict failed:
+/// bench_main still writes the artifact, then exits 1.
+inline bool& bench_failed() {
+  static bool failed = false;
+  return failed;
+}
+
 /// Shared main for every bench binary: strips --threads, runs the
 /// google-benchmark timed sections, then the reproduction section, then
 /// prints the throughput line and emits results/BENCH_<id>.json. `params`
-/// are the scenario parameters embedded in the artifact.
+/// are the scenario parameters embedded in the artifact. Exits 1 if the
+/// reproduction section set bench_failed().
 inline int bench_main(int argc, char** argv, const char* bench_id,
                       void (*reproduce)(),
                       std::initializer_list<BenchParam> params = {}) {
@@ -153,7 +161,7 @@ inline int bench_main(int argc, char** argv, const char* bench_id,
   reproduce();
   print_trial_throughput();
   write_bench_json(bench_id, params);
-  return 0;
+  return bench_failed() ? 1 : 0;
 }
 
 }  // namespace m2hew::benchx

@@ -71,10 +71,10 @@ class Network {
   /// Position ("arc") of the arc from→to in topology()'s in-CSR, or
   /// kNoArc; it indexes the span table and every per-arc array a
   /// simulator keeps in the same order. O(1) through a dense arc matrix
-  /// when node_count() <= kDenseArcLimit, O(log indeg(to)) otherwise. This
-  /// is the adjacency filter of the engines' reception hot path: a
-  /// listener resolves the per-channel transmitter bucket against it
-  /// instead of scanning all in-neighbors.
+  /// when node_count() <= kDenseArcLimit, O(log indeg(to)) otherwise. The
+  /// slot engine probes it once per listening radio a single transmitter
+  /// reached; the async engine's candidate filter and the per-arc
+  /// coverage and fault lookups are its other users.
   [[nodiscard]] std::size_t in_arc(NodeId from, NodeId to) const;
   /// in_arc() of a pair that must be an arc (CHECK-fails otherwise).
   [[nodiscard]] std::size_t arc_of(NodeId from, NodeId to) const;

@@ -50,14 +50,16 @@ struct EngineCommon {
   /// transmitter reaches, so its call count is not part of the contract.
   std::function<bool(Time, net::NodeId, net::ChannelId)> interference;
 
-  /// Reception-resolution strategy. true (default): resolve through the
-  /// per-channel transmitter index (SlotMedium for the slotted engines,
-  /// the live transmit-frame interval index for the async engine).
-  /// false: the original per-listener scan over all in-neighbors, kept as
-  /// the naive reference implementation for the equivalence property
-  /// tests. Both paths are bit-identical by contract — same policy
-  /// callback order and same loss-RNG draw order (see
-  /// docs/EXTENDING.md "Indexed reception & engine determinism").
+  /// Reception-resolution strategy. true (default): the fast path — the
+  /// slot engine's transmitter push (only listening radios that two or
+  /// more co-channel transmitters reach are scanned), the async engine's
+  /// live transmit-frame interval index. false: the original
+  /// per-listener scan over all in-neighbors (sim::resolve_reference),
+  /// kept as the naive reference implementation for the equivalence
+  /// property tests. The SoA kernel always pushes and ignores this. Both
+  /// paths are bit-identical by contract — same policy callback order and
+  /// same loss-RNG draw order (see docs/EXTENDING.md "Indexed reception &
+  /// engine determinism").
   bool indexed_reception = true;
 
   /// Stop as soon as discovery completes (otherwise run the full budget).

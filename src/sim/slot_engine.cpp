@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 
 #include "sim/slot_medium.hpp"
 #include "sim/trial_setup.hpp"
@@ -102,7 +104,17 @@ SlotEngineResult run_engine(const net::Network& network,
                           std::vector<RadioActivity>(n),
                           DiscoveryState(network),
                           {}};
-  SlotMedium medium(network.universe_size(), config.indexed_reception);
+
+  // Transmitter push (indexed_reception): each slot's surviving
+  // transmitters, in node order, and per radio entry how many of them
+  // reach it on its listening channel (saturating at 2) plus the first.
+  struct Sender {
+    net::NodeId node;
+    net::ChannelId channel;
+  };
+  std::vector<Sender> senders;
+  std::vector<std::uint8_t> pushes(actions.size(), 0);
+  std::vector<net::NodeId> pusher(actions.size());
 
   // Time-varying topology: `cur` is the link set in force this slot,
   // swapped at epoch boundaries. Policies, discovery state and completion
@@ -117,6 +129,7 @@ SlotEngineResult run_engine(const net::Network& network,
       cur = &provider->epoch(epoch_at(*provider, config.epoch_length, slot));
     }
 
+    senders.clear();
     for (net::NodeId u = 0; u < n; ++u) {
       const std::span<SlotAction> mine = radios_of(u);
       if (slot < start_of(config.starts, u) || faults.down_at(u, slot)) {
@@ -151,45 +164,44 @@ SlotEngineResult run_engine(const net::Network& network,
           check_radio_actions(network, u, mine);
           break;
       }
-    }
-
-    // Transmissions on a channel with active primary-user interference at
-    // the transmitter are suppressed (the node senses the PU and vacates,
-    // idling that radio for the slot).
-    if (has_interference) {
-      for (net::NodeId u = 0; u < n; ++u) {
-        for (SlotAction& action : radios_of(u)) {
-          if (action.mode == Mode::kTransmit &&
-              jammed(slot, u, action.channel)) {
-            action.mode = Mode::kQuiet;
-          }
+      // A transmission on a channel with active primary-user interference
+      // at the transmitter is suppressed (the node senses the PU and
+      // vacates, idling that radio for the slot). Radio accounting counts
+      // one mode per radio per slot from the node's start slot on: before
+      // that, or while crashed, its radios are off (E13's idle energy
+      // would otherwise be inflated for late starters).
+      for (SlotAction& action : mine) {
+        if (action.mode == Mode::kTransmit && has_interference &&
+            jammed(slot, u, action.channel)) {
+          action.mode = Mode::kQuiet;
+        }
+        count_mode(result.activity[u], action.mode);
+        if (action.mode == Mode::kTransmit) {
+          senders.push_back({u, action.channel});
         }
       }
     }
 
-    // Radio accounting starts at the node's start slot, one count per
-    // radio per slot: before that the node is not executing and its radios
-    // are off (E13's idle energy would otherwise be inflated for late
-    // starters). A crashed node's radios are off for the same reason.
-    for (net::NodeId u = 0; u < n; ++u) {
-      if (slot < start_of(config.starts, u) || faults.down_at(u, slot)) {
-        continue;
-      }
-      for (const SlotAction& action : radios_of(u)) {
-        count_mode(result.activity[u], action.mode);
-      }
-    }
-
-    // One O(#transmitters) sweep groups this slot's (non-suppressed)
-    // transmitting radios by channel; the sweep runs in node id order so
-    // each bucket stays id-sorted (distinct radio channels keep a node at
-    // most once per bucket).
+    // Push: each transmitter counts itself at every radio of its current
+    // out-neighbors listening on its channel. The counted transmitters of
+    // a radio are exactly the candidates the reference scan would walk
+    // (in-neighbors transmitting on the radio's channel; radios of one
+    // node are on distinct channels), before the span test.
     if (config.indexed_reception) {
-      medium.begin_slot();
-      for (net::NodeId u = 0; u < n; ++u) {
-        for (const SlotAction& action : radios_of(u)) {
-          if (action.mode != Mode::kTransmit) continue;
-          medium.add_transmitter(action.channel, u);
+      const auto out_off = cur->topology().out_offsets();
+      const auto out_dst = cur->topology().out_targets();
+      for (const Sender& tx : senders) {
+        for (std::size_t arc = out_off[tx.node]; arc < out_off[tx.node + 1];
+             ++arc) {
+          const net::NodeId w = out_dst[arc];
+          for (std::size_t i = first[w]; i < first[w + 1]; ++i) {
+            if (actions[i].mode != Mode::kReceive ||
+                actions[i].channel != tx.channel) {
+              continue;
+            }
+            if (pushes[i] == 0) pusher[i] = tx.node;
+            if (pushes[i] < 2) ++pushes[i];
+          }
         }
       }
     }
@@ -197,13 +209,17 @@ SlotEngineResult run_engine(const net::Network& network,
     // Reception resolution, per listening radio in (node id, radio index)
     // order: u hears v iff v is the only in-neighbor transmitting on the
     // radio's channel whose arc to u carries that channel (transmissions
-    // that do not propagate to u neither deliver nor interfere).
+    // that do not propagate to u neither deliver nor interfere). With the
+    // push, a radio no transmitter reached is silence without a scan (the
+    // scan would find no candidate and draw nothing), one reached by a
+    // single transmitter probes that arc's span, and only the rest scan.
     for (net::NodeId u = 0; u < n; ++u) {
-      const std::span<const SlotAction> mine = radios_of(u);
       Policy& policy = setup.policy(u);
-      for (unsigned r = 0; r < mine.size(); ++r) {
-        if (mine[r].mode != Mode::kReceive) continue;
-        const net::ChannelId c = mine[r].channel;
+      for (std::size_t i = first[u]; i < first[u + 1]; ++i) {
+        if (actions[i].mode != Mode::kReceive) continue;
+        const auto r = static_cast<unsigned>(i - first[u]);
+        const net::ChannelId c = actions[i].channel;
+        const std::uint8_t reached = std::exchange(pushes[i], 0);
 
         // Active primary-user noise at the listener drowns the channel.
         if (has_interference && jammed(slot, u, c)) {
@@ -211,20 +227,21 @@ SlotEngineResult run_engine(const net::Network& network,
           continue;
         }
 
-        const SlotMedium::Resolution heard =
-            config.indexed_reception
-                ? medium.resolve(*cur, u, c)
-                : SlotMedium::resolve_reference(
-                      *cur, u, c, [&](net::NodeId v) {
-                        const std::span<const SlotAction> theirs =
-                            radios_of(v);
-                        return std::any_of(
-                            theirs.begin(), theirs.end(),
-                            [c](const SlotAction& action) {
-                              return action.mode == Mode::kTransmit &&
-                                     action.channel == c;
-                            });
-                      });
+        Resolution heard;
+        if (config.indexed_reception && reached == 1) {
+          const std::size_t arc = cur->in_arc(pusher[i], u);
+          M2HEW_DCHECK(arc != net::Network::kNoArc);
+          if (cur->carries(arc, c)) heard.sender = pusher[i];
+        } else if (!config.indexed_reception || reached == 2) {
+          heard = resolve_reference(*cur, u, c, [&](net::NodeId v) {
+            const std::span<const SlotAction> theirs = radios_of(v);
+            return std::any_of(theirs.begin(), theirs.end(),
+                               [c](const SlotAction& action) {
+                                 return action.mode == Mode::kTransmit &&
+                                        action.channel == c;
+                               });
+          });
+        }
         if (heard.collision) {
           policy.observe_listen_outcome(r, ListenOutcome::kCollision);
           continue;

@@ -19,10 +19,16 @@
 // its policy's slot indices are node-local, matching a node that simply
 // begins executing later.
 //
-// The channel semantics, loss model, interference model, per-trial
-// seeding and reception resolution all live in the shared medium core
-// (sim/engine_common.hpp, sim/trial_setup.hpp, sim/slot_medium.hpp) and
-// are common to every engine.
+// The channel semantics, loss model, interference model and per-trial
+// seeding live in the shared medium core (sim/engine_common.hpp,
+// sim/trial_setup.hpp) and are common to every engine. Reception is
+// resolved by transmitter push by default: each slot's transmitters walk
+// their out-rows in the current topology and count themselves at the
+// radios listening on their channel, so a radio nobody reached is silence
+// without a scan, one reached once probes that arc, and only the rest run
+// the reference in-link scan (sim/slot_medium.hpp). With
+// `indexed_reception = false` every listening radio runs that scan; the
+// two paths are bit-identical.
 #pragma once
 
 #include <cstdint>

@@ -1,85 +1,51 @@
-// The synchronous channel medium. The slot engine (at any radio count)
-// resolves the per-slot question from §II through it: listener u, tuned
-// to channel c, hears sender v iff v is the UNIQUE in-neighbor of u
-// emitting on c whose arc to u carries c — otherwise u hears a collision
-// (two or more such senders) or silence (none). This class owns that
-// resolution once, in the two bit-identical strategies the engine
-// switches between (`EngineCommon::indexed_reception`):
+// The synchronous channel medium's per-slot question from §II: listener
+// u, tuned to channel c, hears sender v iff v is the UNIQUE in-neighbor
+// of u emitting on c whose arc to u carries c — otherwise u hears a
+// collision (two or more such senders) or silence (none).
 //
-//   * indexed: one O(#transmitters) sweep per slot groups transmitters
-//     into per-channel buckets (allocated once, cleared through the
-//     touched list); a listener resolves against only its channel's
-//     bucket through net::Network::in_arc(), early-exiting at the second
-//     matching sender;
-//   * reference: the original per-listener scan over the full in-link
-//     list, kept as the executable specification for the equivalence
-//     property tests.
-//
-// Both walk candidates in ascending sender id (buckets are filled in node
-// id order; in-link lists are id-sorted), so sender/collision — and
-// therefore policy-callback order and loss-RNG draw order — agree exactly.
+// resolve_reference() answers it by the original per-listener scan over
+// the full in-link list. It is the executable specification: the slot
+// engine runs it directly with `indexed_reception = false`, and its
+// transmitter push (sim/slot_engine.cpp) falls back to it for every
+// listening radio that two or more co-channel transmitters reach. The
+// scan walks candidates in ascending sender id, so sender/collision —
+// and therefore policy-callback order and loss-RNG draw order — are the
+// same whichever path asked.
 #pragma once
-
-#include <vector>
 
 #include "net/network.hpp"
 #include "net/types.hpp"
 
 namespace m2hew::sim {
 
-class SlotMedium {
- public:
-  /// Outcome of one (listener, channel) resolution: a unique audible
-  /// sender, a collision, or (kInvalidNode, false) = silence.
-  struct Resolution {
-    net::NodeId sender = net::kInvalidNode;
-    bool collision = false;
-  };
-
-  /// `indexed` = false builds an empty medium (no bucket storage); only
-  /// resolve_reference() may be used then.
-  SlotMedium(net::ChannelId universe_size, bool indexed);
-
-  /// Clears the previous slot's buckets (touched channels only).
-  void begin_slot();
-
-  /// Registers one transmitter. Must be called in ascending node id so
-  /// buckets stay id-sorted; a node may appear in several buckets (one
-  /// per transmitting radio) but at most once per channel.
-  void add_transmitter(net::ChannelId channel, net::NodeId node);
-
-  /// Indexed resolution of (listener, channel) against this slot's
-  /// buckets.
-  [[nodiscard]] Resolution resolve(const net::Network& network,
-                                   net::NodeId listener,
-                                   net::ChannelId channel) const;
-
-  /// Reference resolution: scan the listener's in-links, asking the
-  /// engine whether each in-neighbor currently emits on `channel`
-  /// (`transmits_on(v)`). Kept as the naive executable specification;
-  /// bit-identical to resolve() for the same transmitter set.
-  template <typename TransmitsOn>
-  [[nodiscard]] static Resolution resolve_reference(
-      const net::Network& network, net::NodeId listener,
-      net::ChannelId channel, const TransmitsOn& transmits_on) {
-    Resolution out;
-    const auto offsets = network.topology().in_offsets();
-    for (std::size_t arc = offsets[listener]; arc < offsets[listener + 1];
-         ++arc) {
-      const net::NodeId v = network.topology().in_sources()[arc];
-      if (!transmits_on(v) || !network.carries(arc, channel)) continue;
-      if (out.sender != net::kInvalidNode) {
-        out.collision = true;
-        break;
-      }
-      out.sender = v;
-    }
-    return out;
-  }
-
- private:
-  std::vector<std::vector<net::NodeId>> buckets_;
-  std::vector<net::ChannelId> touched_;
+/// Outcome of one (listener, channel) resolution: a unique audible
+/// sender, a collision, or (kInvalidNode, false) = silence.
+struct Resolution {
+  net::NodeId sender = net::kInvalidNode;
+  bool collision = false;
 };
+
+/// Reference resolution: scan the listener's in-links, asking the engine
+/// whether each in-neighbor currently emits on `channel`
+/// (`transmits_on(v)`).
+template <typename TransmitsOn>
+[[nodiscard]] Resolution resolve_reference(const net::Network& network,
+                                           net::NodeId listener,
+                                           net::ChannelId channel,
+                                           const TransmitsOn& transmits_on) {
+  Resolution out;
+  const auto offsets = network.topology().in_offsets();
+  for (std::size_t arc = offsets[listener]; arc < offsets[listener + 1];
+       ++arc) {
+    const net::NodeId v = network.topology().in_sources()[arc];
+    if (!transmits_on(v) || !network.carries(arc, channel)) continue;
+    if (out.sender != net::kInvalidNode) {
+      out.collision = true;
+      break;
+    }
+    out.sender = v;
+  }
+  return out;
+}
 
 }  // namespace m2hew::sim

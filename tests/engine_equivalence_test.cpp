@@ -1,8 +1,10 @@
 // Equivalence property test for the indexed reception hot paths.
 //
-// Both engines resolve receptions through per-channel transmitter indexes
-// (SlotEngineConfig/AsyncEngineConfig `indexed_reception`, the default) but
-// keep the original per-listener scans as naive reference implementations.
+// Both engines resolve receptions through a fast path by default
+// (SlotEngineConfig/AsyncEngineConfig `indexed_reception`): the slot
+// engine's transmitter push, the async engine's per-channel transmit-frame
+// index. Both keep the original per-listener scans as naive reference
+// implementations.
 // The rewrite's contract is *bit identity*: for any topology, channel
 // assignment, policy, loss rate, interference schedule, start pattern and
 // seed, the indexed path must produce exactly the same DiscoveryState,
@@ -10,9 +12,13 @@
 // policy-callback order and the same shared loss_rng draw order.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include "core/adaptive.hpp"
@@ -21,6 +27,7 @@
 #include "core/multi_radio.hpp"
 #include "core/termination.hpp"
 #include "net/channel_assign.hpp"
+#include "net/channel_set.hpp"
 #include "net/mobility.hpp"
 #include "net/primary_user.hpp"
 #include "net/propagation.hpp"
@@ -452,6 +459,291 @@ TEST_P(EngineEquivalence, MultiRadioEpochScheduleIndexedMatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EngineEquivalence,
                          ::testing::Range<std::uint64_t>(1, 25));
+
+void expect_same_slot_run(const net::Network& network,
+                          const sim::SlotEngineResult& a,
+                          const sim::SlotEngineResult& b) {
+  EXPECT_EQ(a.complete, b.complete);
+  EXPECT_EQ(a.completion_slot, b.completion_slot);
+  EXPECT_EQ(a.slots_executed, b.slots_executed);
+  expect_same_activity(a.activity, b.activity);
+  expect_same_state(network, a.state, b.state);
+  expect_same_robustness(a.robustness, b.robustness);
+}
+
+// Transmitter-push legs. The slot engine's default reception pushes from
+// each transmitter along its current out-row, counts per listening radio
+// how many co-channel transmitters reached it, and only scans the radios
+// two or more reached. Sizes straddle multiples of 64 and
+// Network::kDenseArcLimit (above it, in_arc() binary-searches); the
+// graphs are sparse, asymmetric and behind a propagation filter; every
+// stream-consuming feature is on, and the seed picks the adversary
+// attack (jammer, Byzantine, non-responder, mix).
+class EnginePushSizes
+    : public ::testing::TestWithParam<std::tuple<net::NodeId, std::uint64_t>> {
+};
+
+TEST_P(EnginePushSizes, IndexedMatchesReference) {
+  const net::NodeId n = std::get<0>(GetParam());
+  const std::uint64_t seed = std::get<1>(GetParam()) + soak_offset();
+  util::Rng rng(seed ^ (0x9054 + n));
+  const net::ChannelId universe = 5;
+  net::Topology topology =
+      seed % 2 == 0
+          ? net::make_unit_disk_bucketed(n, std::sqrt(static_cast<double>(n)),
+                                         1.6, rng)
+                .topology
+          : net::make_erdos_renyi_sparse(n, 6.0 / static_cast<double>(n),
+                                         rng);
+  topology = net::make_asymmetric(topology, 0.3, rng);
+  auto assignment = net::uniform_random_assignment(n, universe, 3, rng);
+  const net::Network network(
+      std::move(topology), std::move(assignment),
+      net::random_propagation_filter(universe, 0.8, seed));
+
+  sim::SlotEngineConfig config;
+  config.max_slots = 400;
+  config.seed = seed;
+  config.stop_when_complete = false;
+  config.interference = [](std::uint64_t slot, net::NodeId node,
+                           net::ChannelId c) {
+    return pseudo_pu(slot, node, c);
+  };
+  config.starts.assign(n, 0);
+  for (auto& s : config.starts) s = rng.uniform(25);
+  auto& plan = config.faults;
+  plan.churn.crash_probability = 0.3;
+  plan.churn.earliest_crash = 20;
+  plan.churn.latest_crash = 200;
+  plan.churn.min_down = 20;
+  plan.churn.max_down = 120;
+  plan.churn.reset_policy_on_recovery = seed % 2 == 0;
+  if (seed % 2 == 0) {
+    plan.burst_loss.enabled = true;
+    plan.burst_loss.p_good_to_bad = 0.05;
+    plan.burst_loss.p_bad_to_good = 0.2;
+    plan.burst_loss.loss_good = 0.05;
+    plan.burst_loss.loss_bad = 0.8;
+  } else {
+    config.loss_probability = 0.25;
+  }
+  plan.adversary.fraction = 0.15;
+  plan.adversary.attack = static_cast<sim::AdversaryAttack>(seed % 4);
+  plan.adversary.byzantine_tx = 0.6;
+  plan.adversary.victim_fraction = 0.5;
+
+  sim::SlotEngineConfig reference = config;
+  reference.indexed_reception = false;
+  if (seed % 4 == 3) {
+    // Two radios per node: the push counts per radio, not per node.
+    const auto factory = core::make_multi_radio_alg3(2, 8);
+    const auto a = sim::run_slot_engine(network, factory, config);
+    const auto b = sim::run_slot_engine(network, factory, reference);
+    ASSERT_GT(a.state.reception_count(), 0u);
+    expect_same_slot_run(network, a, b);
+    return;
+  }
+  const sim::SyncPolicyFactory factory =
+      seed % 4 == 1 ? core::with_termination(core::make_adaptive(), 200)
+                    : core::make_algorithm3(8);
+  const auto a = sim::run_slot_engine(network, factory, config);
+  const auto b = sim::run_slot_engine(network, factory, reference);
+  ASSERT_GT(a.state.reception_count(), 0u);
+  expect_same_slot_run(network, a, b);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, EnginePushSizes,
+    ::testing::Combine(::testing::Values<net::NodeId>(63, 64, 65, 127, 129,
+                                                      1025, 1100),
+                       ::testing::Range<std::uint64_t>(0, 4)));
+
+// Handcrafted push cases: every node repeats a fixed radio script each
+// slot, and each feedback call lands in one shared log as (node, radio,
+// ListenOutcome, or kReceived with the sender).
+constexpr int kReceived = 3;
+using Feedback = std::tuple<net::NodeId, unsigned, int, net::NodeId>;
+using Script = std::vector<std::vector<sim::SlotAction>>;
+
+class ScriptedPolicy final : public sim::MultiRadioPolicy {
+ public:
+  ScriptedPolicy(net::NodeId self, std::vector<sim::SlotAction> script,
+                 std::vector<Feedback>* log)
+      : self_(self), script_(std::move(script)), log_(log) {}
+
+  [[nodiscard]] unsigned radio_count() const override {
+    return static_cast<unsigned>(script_.size());
+  }
+  void next_slot(util::Rng& /*rng*/,
+                 std::span<sim::SlotAction> actions) override {
+    std::copy(script_.begin(), script_.end(), actions.begin());
+  }
+  void observe_reception(unsigned radio, net::NodeId from,
+                         bool /*first_time*/) override {
+    log_->emplace_back(self_, radio, kReceived, from);
+  }
+  void observe_listen_outcome(unsigned radio,
+                              sim::ListenOutcome outcome) override {
+    log_->emplace_back(self_, radio, static_cast<int>(outcome),
+                       net::kInvalidNode);
+  }
+
+ private:
+  net::NodeId self_;
+  std::vector<sim::SlotAction> script_;
+  std::vector<Feedback>* log_;
+};
+
+constexpr sim::SlotAction tx(net::ChannelId c) {
+  return {sim::Mode::kTransmit, c};
+}
+constexpr sim::SlotAction rx(net::ChannelId c) {
+  return {sim::Mode::kReceive, c};
+}
+constexpr int outcome(sim::ListenOutcome o) { return static_cast<int>(o); }
+
+// Runs `script` on both reception paths, checks they agree (feedback log
+// included) and returns the indexed run's feedback log.
+[[nodiscard]] std::vector<Feedback> run_script(
+    const net::Network& network, const Script& script,
+    const sim::SlotEngineConfig& config) {
+  std::vector<Feedback> logs[2];
+  std::vector<sim::SlotEngineResult> results;
+  for (const bool indexed : {true, false}) {
+    std::vector<Feedback>* log = &logs[indexed ? 0 : 1];
+    const sim::MultiRadioPolicyFactory factory =
+        [&script, log](const net::Network&, net::NodeId u) {
+          return std::make_unique<ScriptedPolicy>(u, script[u], log);
+        };
+    sim::SlotEngineConfig run = config;
+    run.indexed_reception = indexed;
+    results.push_back(sim::run_slot_engine(network, factory, run));
+  }
+  expect_same_slot_run(network, results[0], results[1]);
+  EXPECT_EQ(logs[0], logs[1]);
+  return logs[0];
+}
+
+[[nodiscard]] net::Network scripted_network(
+    net::NodeId n, std::initializer_list<std::pair<net::NodeId, net::NodeId>>
+                       arcs) {
+  net::Topology topology(n);
+  for (const auto& [from, to] : arcs) topology.add_arc(from, to);
+  topology.finalize();
+  return net::Network(std::move(topology),
+                      net::homogeneous_assignment(n, 3, 3));
+}
+
+// Two epochs over a union of arcs 0→2 and 1→2, one arc each: a union arc
+// that is absent in the current epoch neither delivers nor collides.
+class TwoEpochProvider final : public net::TopologyProvider {
+ public:
+  TwoEpochProvider()
+      : union_(scripted_network(3, {{0, 2}, {1, 2}})),
+        epochs_{scripted_network(3, {{0, 2}}),
+                scripted_network(3, {{1, 2}})} {}
+  [[nodiscard]] std::size_t epoch_count() const noexcept override {
+    return 2;
+  }
+  [[nodiscard]] const net::Network& epoch(std::size_t e) const override {
+    return epochs_[e];
+  }
+  [[nodiscard]] const net::Network& union_network() const override {
+    return union_;
+  }
+
+ private:
+  net::Network union_;
+  net::Network epochs_[2];
+};
+
+TEST(EnginePush, UnionArcAbsentInEpochDoesNotReach) {
+  const TwoEpochProvider provider;
+  sim::SlotEngineConfig config;
+  config.max_slots = 2;
+  config.topology = &provider;
+  config.epoch_length = 1;
+  const int clear = outcome(sim::ListenOutcome::kClear);
+  const int silence = outcome(sim::ListenOutcome::kSilence);
+  // Both transmit: node 2 hears the one sender whose arc is in force.
+  EXPECT_EQ(run_script(provider.union_network(), {{tx(0)}, {tx(0)}, {rx(0)}},
+                       config),
+            (std::vector<Feedback>{{2, 0, clear, net::kInvalidNode},
+                                   {2, 0, kReceived, 0},
+                                   {2, 0, clear, net::kInvalidNode},
+                                   {2, 0, kReceived, 1}}));
+  // Only node 1 transmits: its arc is absent in epoch 0, so it reaches
+  // node 2 in slot 1 only.
+  EXPECT_EQ(run_script(provider.union_network(),
+                       {{sim::SlotAction{}}, {tx(0)}, {rx(0)}}, config),
+            (std::vector<Feedback>{{2, 0, silence, net::kInvalidNode},
+                                   {2, 0, clear, net::kInvalidNode},
+                                   {2, 0, kReceived, 1}}));
+}
+
+TEST(EnginePush, TwoRadioListenerCountsPerRadio) {
+  // Node 1 transmits on channels 0 and 1 with its two radios. Node 0
+  // listens on both, so one transmitter reaches both of its radios; node 2
+  // listens on 2 and 0, so only its second radio is reached.
+  const net::Network network = scripted_network(3, {{1, 0}, {1, 2}});
+  sim::SlotEngineConfig config;
+  config.max_slots = 1;
+  const Script script = {{rx(0), rx(1)}, {tx(0), tx(1)}, {rx(2), rx(0)}};
+  const auto log = run_script(network, script, config);
+  const int clear = outcome(sim::ListenOutcome::kClear);
+  const int silence = outcome(sim::ListenOutcome::kSilence);
+  EXPECT_EQ(log, (std::vector<Feedback>{{0, 0, clear, net::kInvalidNode},
+                                        {0, 0, kReceived, 1},
+                                        {0, 1, clear, net::kInvalidNode},
+                                        {0, 1, kReceived, 1},
+                                        {2, 0, silence, net::kInvalidNode},
+                                        {2, 1, clear, net::kInvalidNode},
+                                        {2, 1, kReceived, 1}}));
+}
+
+TEST(EnginePush, VacatedTransmitterReachesNoOne) {
+  // Node 1 senses a primary user on channel 0 and vacates; its listener 0
+  // (PU-free) hears silence. Node 2, on another channel, is no candidate.
+  const net::Network network = scripted_network(3, {{1, 0}, {2, 0}});
+  sim::SlotEngineConfig config;
+  config.max_slots = 1;
+  config.interference = [](std::uint64_t, net::NodeId node,
+                           net::ChannelId c) { return node == 1 && c == 0; };
+  const Script script = {{rx(0)}, {tx(0)}, {tx(1)}};
+  const auto log = run_script(network, script, config);
+  EXPECT_EQ(log, (std::vector<Feedback>{
+                     {0, 0, outcome(sim::ListenOutcome::kSilence),
+                      net::kInvalidNode}}));
+}
+
+TEST(EnginePush, SenderOutsideTheSpanIsNotHeard) {
+  // One co-channel transmitter reaches node 0 over an arc whose span lacks
+  // the channel, another over one that carries it: the single-pusher
+  // probe and the scan must both apply the span test.
+  net::Topology topology(3);
+  topology.add_arc(1, 0);
+  topology.add_arc(2, 0);
+  topology.finalize();
+  const net::Network network(
+      std::move(topology), net::homogeneous_assignment(3, 3, 3),
+      [](net::NodeId from, net::NodeId) {
+        net::ChannelSet carried(3);
+        carried.insert(from == 1 ? 1 : 0);
+        return carried;
+      });
+  sim::SlotEngineConfig config;
+  config.max_slots = 1;
+  const int silence = outcome(sim::ListenOutcome::kSilence);
+  const int clear = outcome(sim::ListenOutcome::kClear);
+  // Only node 1 transmits on 0: its arc does not carry 0.
+  EXPECT_EQ(run_script(network, {{rx(0)}, {tx(0)}, {rx(0)}}, config),
+            (std::vector<Feedback>{{0, 0, silence, net::kInvalidNode},
+                                   {2, 0, silence, net::kInvalidNode}}));
+  // Both transmit on 0: only node 2's arc carries it, so no collision.
+  EXPECT_EQ(run_script(network, {{rx(0)}, {tx(0)}, {tx(0)}}, config),
+            (std::vector<Feedback>{{0, 0, clear, net::kInvalidNode},
+                                   {0, 0, kReceived, 2}}));
+}
 
 }  // namespace
 }  // namespace m2hew
